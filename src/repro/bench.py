@@ -6,14 +6,13 @@ the paper's fig-2 update workload (sequential load + uniform updates
 until host writes reach a capacity multiple, §3.2) on the inline
 runner, a scan-mix variant (25% reads / 25% scans) and a read-only
 variant (get-only measured phase) exercising the natively batched
-read/scan paths and the array read kernels (DESIGN.md §7.3, §13), and
-4- and 16-client pooled cells driving the batched event-scheduler
-client — including a pooled LSM scan-mix cell that pins the
-merge-scan kernel under concurrency (DESIGN.md §7.2; the 16-client
-cell keeps the event-aware ``until`` in the deep-interleave regime
-where per-op engine cost dominates — DESIGN.md §8).  Results are
-written to ``BENCH_throughput.json`` so every PR extends a recorded
-perf trajectory (DESIGN.md §6).
+read/scan paths (DESIGN.md §7.3), and 4- and 16-client pooled cells
+driving the batched event-scheduler client — including a pooled LSM
+scan-mix cell that pins the scan merge under concurrency (DESIGN.md
+§7.2; the 16-client cell keeps the event-aware ``until`` in the
+deep-interleave regime where per-op engine cost dominates — DESIGN.md
+§8).  Results are written to ``BENCH_throughput.json`` so every PR
+extends a recorded perf trajectory (DESIGN.md §6).
 
 ``repro profile`` wraps any one of these cells in cProfile and prints
 the top functions, so perf PRs locate hot spots instead of guessing
@@ -189,10 +188,10 @@ def bench_case(engine: Engine, scale: Scale, batch: bool = True,
 #: The bench grid: (workload_name, nclients, spec overrides, engines).
 #: ``engines`` restricts a cell to a subset of :data:`ENGINES` (None
 #: means every engine).  The scan-mix and readonly cells exercise the
-#: natively batched read/scan paths and the array read kernels
-#: (DESIGN.md §13); the pooled cells exercise the batched multi-client
-#: driver at moderate and deep queue depth, with the pooled scan-mix
-#: cell pinning the LSM merge-scan kernel under concurrency.  Pooled
+#: natively batched read/scan paths (DESIGN.md §7.3); the pooled cells
+#: exercise the batched multi-client driver at moderate and deep queue
+#: depth, with the pooled scan-mix cell pinning the LSM scan merge
+#: under concurrency.  Pooled
 #: speedups compare the measured phase only (the load is shared).
 CELLS: tuple[tuple[str, int, dict, tuple[Engine, ...] | None], ...] = (
     ("update", 1, WORKLOADS["update"], None),
@@ -402,9 +401,9 @@ def profile_case(engine: Engine, scale_name: str, workload_name: str = "update",
     ``nshards > 1`` (or an ``arrival`` process) profiles the fleet
     path instead: the whole sharded experiment — router, per-shard
     stacks, open-loop sources when requested — runs under the profiler
-    via :func:`~repro.core.experiment.run_experiment`, so the array
-    kernels can be ranked under the PR 7 open-loop driver, not just
-    closed-loop pools.
+    via :func:`~repro.core.experiment.run_experiment`, so hot spots
+    can be ranked under the open-loop driver, not just closed-loop
+    pools.
     """
     import cProfile
     import io

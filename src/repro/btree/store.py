@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro import kernels
 from repro.btree.cache import PageCache
 from repro.btree.config import BTreeConfig
 from repro.btree.node import InternalNode, LeafNode
@@ -43,12 +42,9 @@ class BTreeStore(KVStore):
     META_FILE = "btree.meta"
 
     def __init__(self, fs: ExtentFilesystem, clock: VirtualClock,
-                 config: BTreeConfig | None = None,
-                 kernel: str | None = None):
+                 config: BTreeConfig | None = None):
         self.fs = fs
         self.clock = clock
-        self.kernel = kernels.resolve(kernel)
-        self._array_kernels = self.kernel == kernels.ARRAY
         self.config = config or BTreeConfig()
         self._stats = KVStats()
         self.pager = Pager(fs, self.config.leaf_page_bytes)
@@ -415,12 +411,9 @@ class BTreeStore(KVStore):
         lookup: when it covers the next start key the descent is
         skipped (scans often revisit a neighbourhood, and the
         rightmost leaf absorbs every past-the-end start key).  The
-        walk itself — residency faults, per-entry accounting, the
-        leaf-chain traversal — is the scalar :meth:`scan` loop op for
-        op.  Under the array kernels the per-entry loop becomes one
-        bisect plus a slice sum per visited leaf (DESIGN.md §13): the
-        same leaves fault in, and the counts/byte totals are integer
-        sums, so the result is bit-identical.
+        walk faults in the same leaves as the scalar :meth:`scan` loop;
+        per visited leaf, the qualifying entries are counted and summed
+        with one bisect plus a slice sum.
         """
         self._ensure_open()
         n = len(start_keys)
@@ -436,7 +429,6 @@ class BTreeStore(KVStore):
         tracer = self.tracer
         tr_on = tracer.enabled
         cached = self._read_cursor
-        batched = self._array_kernels
         done = 0
         now = clock.now  # local mirror, as in put_many/get_many
         try:
@@ -457,29 +449,18 @@ class BTreeStore(KVStore):
                 while leaf is not None and nresults < count:
                     latency += self._make_resident(leaf)
                     cached = leaf
-                    if batched:
-                        # Leaf keys are sorted, so the qualifying
-                        # entries are the slice from the first key
-                        # >= start_key; the skip/count/accumulate
-                        # loop below collapses to a bisect + sum.
-                        lkeys = leaf.keys
-                        pos = bisect_left(lkeys, start_key)
-                        take = count - nresults
-                        avail = len(lkeys) - pos
-                        if avail < take:
-                            take = avail
-                        if take > 0:
-                            nresults += take
-                            stats.user_bytes_read += take * key_bytes + sum(
-                                leaf.vlens[pos:pos + take])
-                    else:
-                        for idx, key in enumerate(leaf.keys):
-                            if key < start_key:
-                                continue
-                            nresults += 1
-                            stats.user_bytes_read += key_bytes + leaf.vlens[idx]
-                            if nresults >= count:
-                                break
+                    # Leaf keys are sorted, so the qualifying entries
+                    # are the slice from the first key >= start_key.
+                    lkeys = leaf.keys
+                    pos = bisect_left(lkeys, start_key)
+                    take = count - nresults
+                    avail = len(lkeys) - pos
+                    if avail < take:
+                        take = avail
+                    if take > 0:
+                        nresults += take
+                        stats.user_bytes_read += take * key_bytes + sum(
+                            leaf.vlens[pos:pos + take])
                     leaf = leaf.next_leaf
                 stats.scans += 1
                 if tr_on:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import ConfigError, DeviceFullError, OutOfRangeError
 from repro.flash.config import SSDConfig
 from repro.flash.gc import (
@@ -60,18 +59,11 @@ class WorkUnits:
 class FlashTranslationLayer:
     """A page-mapped FTL over the geometry described by an :class:`SSDConfig`."""
 
-    def __init__(self, config: SSDConfig, policy: GCPolicy | None = None,
-                 kernel: str | None = None):
+    def __init__(self, config: SSDConfig, policy: GCPolicy | None = None):
         if config.byte_addressable:
             raise ConfigError("byte-addressable devices do not use an FTL")
         self.config = config
         self.policy = policy or GreedyPolicy()
-        # Kernel selection (DESIGN.md §12): the array kernel batches
-        # the valid-count decrement and the victim-index dedupe of
-        # large invalidations into one bincount pass; the scalar
-        # predecessor (np.subtract.at) is retained as the oracle.
-        self.kernel = kernels.resolve(kernel)
-        self._array_kernels = self.kernel == kernels.ARRAY
 
         n_logical = config.logical_pages
         n_physical = config.total_pages
@@ -339,13 +331,11 @@ class FlashTranslationLayer:
             valid[last] = int(valid[last]) - count
             if pend is not None:
                 pend.append(last)
-        elif self._array_kernels:
+        else:
             # One bincount pass yields both the per-block decrement
             # counts and (via its nonzero support) the deduped set of
             # touched blocks, so the valid-count update and the
             # victim-index notes come out of the same array sweep.
-            # subtract.at decrements once per occurrence, which is
-            # exactly valid[touched] -= counts[touched].
             cnt = np.bincount(blocks, minlength=len(self._state))
             touched = np.nonzero(cnt)[0]
             valid[touched] -= cnt[touched]
@@ -353,15 +343,6 @@ class FlashTranslationLayer:
                 pend.extend(
                     touched[self._state[touched] == _CLOSED].tolist()
                 )
-        else:
-            np.subtract.at(valid, blocks, 1)
-            if index is not None:
-                # Dedupe via bincount: O(pages + nblocks) beats the
-                # sort behind np.unique for compaction-sized batches,
-                # and nblocks is small by construction.
-                state = self._state
-                ub = np.nonzero(np.bincount(blocks, minlength=len(state)))[0]
-                pend.extend(ub[state[ub] == _CLOSED].tolist())
         if pend is not None and len(pend) > index._compact_at:
             index.maybe_compact(valid, self._state, self._closed_seq)
 

@@ -21,18 +21,13 @@ only, since key-value payloads are represented by (seed, length)
 descriptors rather than real bytes.
 
 File extent tables are array-backed (parallel int64 start/length
-columns with a cached cumulative page count); the ``kernel`` knob
-(DESIGN.md §12) selects between the whole-batch extent push /
-vectorized page-run resolution / batched free on deletion (array, the
-default) and the per-extent scalar call pattern retained as the
-equivalence oracle.  Both submit the identical device requests.
+columns with a cached cumulative page count).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import FileExistsError_, FileNotFoundError_, FilesystemError
 from repro.fs.allocator import Extent, ExtentAllocator
 
@@ -97,8 +92,7 @@ class FileMeta:
         self._es, self._el = es, el
 
     def push_extent(self, extent: Extent) -> None:
-        """Append one extent, merging with the previous if adjacent
-        (the scalar oracle's per-extent call pattern)."""
+        """Append one extent, merging with the previous if adjacent."""
         self._cum = None
         self._pages += extent[1]
         ne = self._ne
@@ -113,60 +107,16 @@ class FileMeta:
         self._el[ne] = extent[1]
         self._ne = ne + 1
 
-    def push_extents(self, extents: list[Extent]) -> None:
-        """Append a batch of extents in one coalescing array pass.
-
-        Equivalent to pushing them one by one: runs of file-order
-        adjacency (including adjacency with the current tail extent)
-        collapse into single extents, exactly as the iterative
-        tail-merge would produce.
-        """
-        k = len(extents)
-        if k <= 1:
-            for extent in extents:
-                self.push_extent(extent)
-            return
-        self._cum = None
-        es = np.fromiter((e[0] for e in extents), dtype=np.int64, count=k)
-        el = np.fromiter((e[1] for e in extents), dtype=np.int64, count=k)
-        self._pages += int(el.sum())
-        ne = self._ne
-        if ne:
-            # Fold the current tail extent into the coalesce pass.
-            cs = np.concatenate([self._es[ne - 1 : ne], es])
-            cl = np.concatenate([self._el[ne - 1 : ne], el])
-            base = ne - 1
-        else:
-            cs, cl = es, el
-            base = 0
-        ends = cs + cl
-        first = np.empty(len(cs), dtype=bool)
-        first[0] = True
-        np.not_equal(cs[1:], ends[:-1], out=first[1:])
-        idx_first = np.flatnonzero(first)
-        new_s = cs[idx_first]
-        last_ends = np.empty(len(idx_first), dtype=np.int64)
-        last_ends[:-1] = ends[idx_first[1:] - 1]
-        last_ends[-1] = ends[-1]
-        need = base + len(new_s)
-        self._grow(need)
-        self._es[base:need] = new_s
-        self._el[base:need] = last_ends - new_s
-        self._ne = need
-
 
 class ExtentFilesystem:
     """A minimal extent filesystem exposing the operations engines need."""
 
     def __init__(self, device, strategy: str = "scatter", discard: bool = False,
-                 record_data: bool = False, seed: int = 0,
-                 kernel: str | None = None):
+                 record_data: bool = False, seed: int = 0):
         self.device = device
         self.page_size = device.page_size
-        self.kernel = kernels.resolve(kernel)
-        self._array = self.kernel == kernels.ARRAY
         self.allocator = ExtentAllocator(device.npages, strategy=strategy,
-                                         seed=seed, kernel=self.kernel)
+                                         seed=seed)
         self.discard = discard
         self.record_data = record_data
         self._files: dict[str, FileMeta] = {}
@@ -191,13 +141,7 @@ class ExtentFilesystem:
         return name in self._files
 
     def delete(self, name: str) -> None:
-        """Delete a file, freeing its extents (TRIM only if ``discard``).
-
-        The array kernel returns all extents to the allocator in one
-        batched :meth:`~repro.fs.allocator.ArrayExtentAllocator.
-        free_many` merge; the scalar oracle frees them one by one.
-        Either way the device sees the same TRIMs in the same order.
-        """
+        """Delete a file, freeing its extents (TRIM only if ``discard``)."""
         meta = self._lookup(name)
         extents = meta.extents
         self.allocator.free_many(extents)
@@ -303,15 +247,9 @@ class ExtentFilesystem:
         return latency
 
     def _push_new_extents(self, meta: FileMeta, npages: int) -> None:
-        """Allocate *npages* and append the granted extents to *meta* —
-        one coalescing batch under the array kernel, per-extent under
-        the scalar oracle."""
-        extents = self.allocator.alloc(npages)
-        if self._array:
-            meta.push_extents(extents)
-        else:
-            for extent in extents:
-                meta.push_extent(extent)
+        """Allocate *npages* and append the granted extents to *meta*."""
+        for extent in self.allocator.alloc(npages):
+            meta.push_extent(extent)
 
     def _write_file_pages(self, meta: FileMeta, first_page: int, count: int,
                           background: bool) -> float:
@@ -490,41 +428,18 @@ class ExtentFilesystem:
             return (int(meta._es[idx]) + skip, count)
         return None
 
-    def _run_bounds(self, meta: FileMeta, first_page: int, count: int):
-        """(first_extent, last_extent, skip) covering the page range."""
-        cum = meta.cumulative()
-        if meta._ne == 0 or first_page + count > int(cum[-1]):
-            raise FilesystemError(
-                f"file {meta.name!r} has no pages for requested range"
-            )
-        i0 = int(cum.searchsorted(first_page, side="right"))
-        i1 = int(cum.searchsorted(first_page + count - 1, side="right"))
-        preceding = int(cum[i0 - 1]) if i0 > 0 else 0
-        return i0, i1, first_page - preceding
-
-    def _run_arrays(self, meta: FileMeta, first_page: int,
-                    count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Device runs covering a page range, as (starts, lens) arrays
-        (the array kernel's whole-range resolution)."""
-        i0, i1, skip = self._run_bounds(meta, first_page, count)
-        starts = meta._es[i0 : i1 + 1].copy()
-        lens = meta._el[i0 : i1 + 1].copy()
-        starts[0] += skip
-        lens[0] -= skip
-        lens[-1] = count - int(lens[:-1].sum())
-        return starts, lens
-
     def _file_runs(self, meta: FileMeta, first_page: int, count: int):
         """Yield (device_start, length) runs covering file pages
         [first_page, first_page+count)."""
         if count <= 0:
             return
-        if self._array:
-            starts, lens = self._run_arrays(meta, first_page, count)
-            yield from zip(starts.tolist(), lens.tolist())
-            return
-        i0, _i1, skip = self._run_bounds(meta, first_page, count)
-        idx = i0
+        cum = meta.cumulative()
+        if meta._ne == 0 or first_page + count > int(cum[-1]):
+            raise FilesystemError(
+                f"file {meta.name!r} has no pages for requested range"
+            )
+        idx = int(cum.searchsorted(first_page, side="right"))
+        skip = first_page - (int(cum[idx - 1]) if idx > 0 else 0)
         remaining = count
         while remaining > 0:
             start = int(meta._es[idx])
@@ -543,19 +458,6 @@ class ExtentFilesystem:
             if run is not None:
                 start, length = run
                 return list(range(start, start + length))
-        if self._array:
-            starts, lens = self._run_arrays(meta, first_page, count)
-            if len(starts) == 1:
-                s0 = int(starts[0])
-                return np.arange(s0, s0 + count, dtype=np.int64)
-            # Concatenation of per-run aranges without materializing
-            # them: repeat each run's (start - pages_before_run) and
-            # add the global page index.
-            before = np.empty(len(lens), dtype=np.int64)
-            before[0] = 0
-            np.cumsum(lens[:-1], out=before[1:])
-            return np.repeat(starts - before, lens) + np.arange(
-                count, dtype=np.int64)
         runs = list(self._file_runs(meta, first_page, count))
         if len(runs) == 1:
             start, length = runs[0]

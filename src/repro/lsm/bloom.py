@@ -51,23 +51,6 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
     return z
 
 
-def hash_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (h1, h2) double-hash pair for a key batch, computed once.
-
-    The pair depends only on the keys — never on a filter's geometry —
-    so a batched read path can hash a probe set once and test it
-    against every table's filter via :meth:`BloomFilter.
-    may_contain_hashed`, paying the SplitMix64 mixing a single time
-    instead of once per (key, table) pair.  Bit-identical to the hash
-    portion of :meth:`BloomFilter._positions`.
-    """
-    with np.errstate(over="ignore"):
-        raw = np.asarray(keys).astype(np.uint64)
-        h1 = _splitmix64(raw)
-        h2 = _splitmix64(raw + _GOLDEN) | np.uint64(1)
-    return h1, h2
-
-
 class BloomFilter:
     """A classic k-hash bloom filter over int64 keys, vectorized."""
 
@@ -98,11 +81,11 @@ class BloomFilter:
     def may_contain(self, key: int) -> bool:
         """False means definitely absent; True means possibly present.
 
-        Scalar fast path: the k probe positions are derived with
-        Python-int mixing (no temporary numpy arrays) and probing stops
-        at the first clear bit — same verdict as the vectorized
-        :meth:`may_contain_many`, an order of magnitude cheaper for the
-        one-key-per-table probes of the LSM read path.
+        The k probe positions are derived with Python-int mixing (no
+        temporary numpy arrays) and probing stops at the first clear
+        bit — the same positions :meth:`add_many` sets through the
+        vectorized :meth:`_positions`, an order of magnitude cheaper
+        for the one-key-per-table probes of the LSM read path.
         """
         raw = int(key) & _MASK64
         h1 = _splitmix64_int(raw)
@@ -115,26 +98,6 @@ class BloomFilter:
                 return False
             probe = (probe + h2) & _MASK64
         return True
-
-    def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized membership test."""
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        return self._bits[self._positions(np.asarray(keys))].all(axis=1)
-
-    def may_contain_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """:meth:`may_contain_many` from a precomputed hash pair.
-
-        *h1*/*h2* come from :func:`hash_keys`; only the filter-local
-        part of the probe — the k-step double-hash walk masked to this
-        filter's ``nbits`` — runs here, so the verdict per key is
-        bit-identical to :meth:`may_contain_many` on the same keys.
-        """
-        if len(h1) == 0:
-            return np.zeros(0, dtype=bool)
-        with np.errstate(over="ignore"):
-            probes = h1[:, None] + np.arange(self.k, dtype=np.uint64)[None, :] * h2[:, None]
-        return self._bits[probes & np.uint64(self.nbits - 1)].all(axis=1)
 
     @property
     def memory_bytes(self) -> int:

@@ -19,13 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.fs.filesystem import ExtentFilesystem
 from repro.lsm.config import LSMConfig
 from repro.lsm.memtable import KIND_DELETE
 from repro.lsm.sstable import SSTable, split_into_tables
 from repro.lsm.version import Version
 from repro.obs.tracer import NULL_TRACER
+
+#: Merge-order composite ``key * _SEQ_SPAN + (_SEQ_SPAN-1 - seq)``: keys
+#: below _KEY_SPAN and seqs below _SEQ_SPAN fit an int64.
+_SEQ_SPAN = 1 << 40
+_KEY_SPAN = 1 << 22
 
 
 @dataclass
@@ -110,20 +114,12 @@ class CompactionPicker:
 class CompactionExecutor:
     """Runs compactions against the filesystem and manifest."""
 
-    def __init__(self, fs: ExtentFilesystem, config: LSMConfig, next_table_id,
-                 kernel: str | None = None):
+    def __init__(self, fs: ExtentFilesystem, config: LSMConfig, next_table_id):
         self.fs = fs
         self.config = config
         self.next_table_id = next_table_id
         self.stats = CompactionStats()
         self.tracer = NULL_TRACER  # flight recorder (repro.obs)
-        # Kernel selection (DESIGN.md §12): the array kernel orders the
-        # k concatenated sorted runs with ONE stable argsort over a
-        # composite (key, reversed-seq) int64 — timsort's galloping
-        # merges the pre-sorted runs instead of re-sorting from
-        # scratch.  The two-pass lexsort is retained as the oracle.
-        self.kernel = kernels.resolve(kernel)
-        self._array_kernels = self.kernel == kernels.ARRAY
 
     def run(self, compaction: Compaction, version: Version) -> None:
         """Execute one compaction job (trivial move or merge)."""
@@ -211,31 +207,26 @@ class CompactionExecutor:
         self.stats.entries_dropped += dropped
         self.stats.tombstones_dropped += tombstones_dropped
 
-    _SEQ_BITS = 40  # composite packing: key << 40 | reversed seq
+    @staticmethod
+    def _merge_order(keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+        """Permutation sorting by (key asc, seq desc), ties in input order.
 
-    def _merge_order(self, keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-        """Permutation sorting by (key asc, seq desc).
-
-        Array kernel: pack both columns into one int64 composite —
-        ``key * 2^40 + (2^40-1 - seq)`` — and run a single stable
-        argsort.  The inputs are a concatenation of k sorted runs
-        (each SSTable's keys are strictly increasing, so each run is
-        strictly increasing in the composite too), which timsort's run
-        detection merges in near-linear time.  The permutation is
-        identical to the lexsort oracle: the composite is strictly
-        monotone in (key, -seq), and both sorts are stable, so ties
-        (equal key and seq) resolve to original order either way.
-        Falls back to lexsort when a column could overflow the packing
-        (keys >= 2^22 or seqs >= 2^40 — far beyond any workload here).
+        Both columns are packed into one int64 composite, ``key * 2^40
+        + (2^40-1 - seq)``, and ordered by a single stable argsort.  The
+        inputs are k concatenated sorted runs (each SSTable's keys are
+        strictly increasing, so each run is strictly increasing in the
+        composite too), which timsort's run detection merges in
+        near-linear time: several times faster than the two-pass
+        ``np.lexsort((-seqs, keys))`` it equals (DESIGN.md §12).  Keys
+        >= 2^22 or seqs >= 2^40 would overflow the packing and take the
+        lexsort instead — far beyond any workload here.
         """
-        if self._array_kernels and keys.size:
-            seq_span = 1 << self._SEQ_BITS
-            if (
-                int(keys.min()) >= 0
-                and int(keys.max()) < (1 << 22)
-                and int(seqs.min()) >= 0
-                and int(seqs.max()) < seq_span
-            ):
-                comp = keys * seq_span + (seq_span - 1 - seqs)
-                return np.argsort(comp, kind="stable")
+        if keys.size and (
+            int(keys.min()) >= 0
+            and int(keys.max()) < _KEY_SPAN
+            and int(seqs.min()) >= 0
+            and int(seqs.max()) < _SEQ_SPAN
+        ):
+            comp = keys * _SEQ_SPAN + (_SEQ_SPAN - 1 - seqs)
+            return np.argsort(comp, kind="stable")
         return np.lexsort((-seqs, keys))

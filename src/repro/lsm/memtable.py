@@ -15,32 +15,11 @@ from repro.lsm.config import LSMConfig
 KIND_PUT = 0
 KIND_DELETE = 1
 
-#: Packed scan composite (DESIGN.md §13): ``key << 41 | (2^40-1 - seq)
-#: << 1 | kind`` as uint64.  Strictly monotone in (key asc, seq desc)
-#: — sequence numbers are globally unique, so the kind bit never
-#: decides an ordering — which lets the array scan merge sort, bound,
-#: dedupe and kind-test source windows from one cached column instead
-#: of three.  ``key < 2^22`` and ``seq < 2^40`` keep the packing inside
-#: 63 bits; callers fall back to the scalar merge outside that range.
-SCAN_SEQ_SPAN = 1 << 40
-SCAN_KEY_SPAN = 1 << 22
-SCAN_KEY_SHIFT = np.uint64(41)
-SCAN_KIND_BIT = np.uint64(1)
-
-
-def pack_scan_comp(keys: np.ndarray, seqs: np.ndarray,
-                   kinds: np.ndarray) -> np.ndarray:
-    """The packed uint64 scan-composite column for one merge source."""
-    return ((keys.astype(np.uint64) << SCAN_KEY_SHIFT)
-            | ((np.uint64(SCAN_SEQ_SPAN - 1) - seqs.astype(np.uint64)) << SCAN_KIND_BIT)
-            | kinds.astype(np.uint64))
-
 
 class MemTable:
     """A mutable buffer of the newest writes, keyed by integer key."""
 
-    __slots__ = ("config", "_entries", "approximate_bytes", "_sorted_cache",
-                 "_column_cache")
+    __slots__ = ("config", "_entries", "approximate_bytes", "_sorted_cache")
 
     def __init__(self, config: LSMConfig):
         self.config = config
@@ -50,7 +29,6 @@ class MemTable:
         self._entries: dict[int, tuple[int, int, int, int]] = {}
         self.approximate_bytes = 0
         self._sorted_cache: tuple | None = None  # see sorted_items()
-        self._column_cache: tuple | None = None  # see sorted_columns()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -157,32 +135,3 @@ class MemTable:
         values = [v for _k, v in items]
         self._sorted_cache = (self.approximate_bytes, keys, values)
         return keys, values
-
-    def sorted_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Key-ordered (keys, scan_comp, vlens) columns for the array
-        scan-merge kernel (DESIGN.md §13).
-
-        Built directly from the entry dict with one numpy argsort (keys
-        are unique, so the order equals :meth:`sorted_items`'s Python
-        sort) and memoized like it — against ``approximate_bytes``,
-        which grows on every mutation — so consecutive scans between
-        writes reuse one conversion and immutable memtables convert
-        once.  The composite column is pre-packed here because the
-        merge kernel derives key, recency and kind from it by bit ops;
-        value seeds are omitted entirely (the scan merge only accounts
-        byte counts, never materializes values).
-        """
-        cache = self._column_cache
-        if cache is not None and cache[0] == self.approximate_bytes:
-            return cache[1]
-        n = len(self._entries)
-        keys = np.fromiter(self._entries.keys(), dtype=np.int64, count=n)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        rows = list(self._entries.values())
-        seqs = np.fromiter((r[0] for r in rows), dtype=np.int64, count=n)[order]
-        vlens = np.fromiter((r[2] for r in rows), dtype=np.int64, count=n)[order]
-        kinds = np.fromiter((r[3] for r in rows), dtype=np.int8, count=n)[order]
-        columns = (keys, pack_scan_comp(keys, seqs, kinds), vlens)
-        self._column_cache = (self.approximate_bytes, columns)
-        return columns

@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.config import LSMConfig
-from repro.lsm.memtable import KIND_DELETE, KIND_PUT, pack_scan_comp
+from repro.lsm.memtable import KIND_DELETE, KIND_PUT
 
 
 class SSTable:
@@ -48,7 +48,6 @@ class SSTable:
         self.max_key = int(keys[-1])
         self._bloom: BloomFilter | None = None
         self._bloom_enabled = config.bloom_bits_per_key > 0
-        self._scan_comp: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Metadata
@@ -83,18 +82,6 @@ class SSTable:
         """Serialized size of the table's data."""
         return int(self._offsets[-1])
 
-    @property
-    def scan_comp(self) -> np.ndarray:
-        """The packed scan-composite column (DESIGN.md §13), cached.
-
-        Tables are immutable, so the packing is computed at most once
-        per table lifetime; the scan-merge kernel only requests it for
-        tables whose key range fits the packing.
-        """
-        if self._scan_comp is None:
-            self._scan_comp = pack_scan_comp(self.keys, self.seqs, self.kinds)
-        return self._scan_comp
-
     def overlaps(self, min_key: int, max_key: int) -> bool:
         """Whether the table's key range intersects [min_key, max_key]."""
         return self.min_key <= max_key and min_key <= self.max_key
@@ -109,39 +96,6 @@ class SSTable:
         if not self._bloom_enabled:
             return True  # no filter: every in-range probe pays a read
         return self.bloom.may_contain(key)
-
-    def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`may_contain`: identical verdict per key.
-
-        Bloom probes cost no simulated I/O, so the LSM's batched read
-        path computes them in bulk up front (DESIGN.md §7.3); only
-        keys inside the table's range touch the filter.
-        """
-        in_range = (keys >= self.min_key) & (keys <= self.max_key)
-        if not self._bloom_enabled or not in_range.any():
-            return in_range
-        result = np.zeros(len(keys), dtype=bool)
-        sel = np.nonzero(in_range)[0]
-        result[sel] = self.bloom.may_contain_many(keys[sel])
-        return result
-
-    def may_contain_hashed(self, keys: np.ndarray, h1: np.ndarray,
-                           h2: np.ndarray) -> np.ndarray:
-        """:meth:`may_contain_many` from a shared bloom hash pass.
-
-        *h1*/*h2* are :func:`repro.lsm.bloom.hash_keys` of *keys*: the
-        batched read planner hashes a probe set once and reuses the
-        pair across every table of a planning round — per table only
-        the range mask and this filter's bit gathers remain.  The
-        verdict per key is bit-identical to :meth:`may_contain_many`.
-        """
-        in_range = (keys >= self.min_key) & (keys <= self.max_key)
-        if not self._bloom_enabled or not in_range.any():
-            return in_range
-        result = np.zeros(len(keys), dtype=bool)
-        sel = np.nonzero(in_range)[0]
-        result[sel] = self.bloom.may_contain_hashed(h1[sel], h2[sel])
-        return result
 
     def find(self, key: int) -> int:
         """Index of *key* in the table, or -1."""

@@ -32,7 +32,6 @@ from bisect import bisect_left
 
 import numpy as np
 
-from repro import kernels
 from repro.core.clock import VirtualClock
 from repro.errors import ConfigError, NoSpaceError, StoreClosedError
 from repro.flash.ssd import mean_write_backlog
@@ -40,27 +39,13 @@ from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.api import KVStore, as_int_list
 from repro.kv.stats import KVStats
 from repro.kv.values import Value
-from repro.lsm.bloom import hash_keys
 from repro.lsm.compaction import CompactionExecutor, CompactionPicker
 from repro.lsm.config import LSMConfig
-from repro.lsm.memtable import (KIND_DELETE, KIND_PUT, SCAN_KEY_SHIFT,
-                                SCAN_KEY_SPAN, SCAN_KIND_BIT, SCAN_SEQ_SPAN,
-                                MemTable)
+from repro.lsm.memtable import KIND_DELETE, KIND_PUT, MemTable
 from repro.lsm.sstable import split_into_tables
 from repro.lsm.version import Version
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.tracer import NULL_TRACER
-
-#: Composite packing for the array scan merge (DESIGN.md §13): the
-#: compaction kernel's (key asc, seq desc) ordering plus a low kind
-#: bit, pre-packed per source (``MemTable.sorted_columns`` /
-#: ``SSTable.scan_comp``) so one stable argsort over concatenated
-#: cached columns reproduces the scalar heap's pop order.  Sources
-#: whose keys/seqs could overflow the packing fall back to the scalar
-#: merge.
-_SEQ_SPAN = SCAN_SEQ_SPAN
-_KEY_SPAN = SCAN_KEY_SPAN
-
 
 class LSMStore(KVStore):
     """A leveled LSM tree over the simulated filesystem."""
@@ -68,8 +53,7 @@ class LSMStore(KVStore):
     name = "lsm"
 
     def __init__(self, fs: ExtentFilesystem, clock: VirtualClock,
-                 config: LSMConfig | None = None,
-                 kernel: str | None = None):
+                 config: LSMConfig | None = None):
         self.fs = fs
         self.clock = clock
         self.config = config or LSMConfig()
@@ -77,17 +61,10 @@ class LSMStore(KVStore):
         self._next_seq = 1  # global write sequence (int, so batches can reserve ranges)
         self._table_ids = itertools.count(1)
         self._wal_ids = itertools.count(1)
-        # Kernel selection (DESIGN.md §12/§13): the array mode runs the
-        # batched scan merge and read-probe planning as numpy kernels;
-        # scalar retains the per-op oracles.  Resolved once and handed
-        # to the compaction executor so one store runs one mode.
-        self.kernel = kernels.resolve(kernel)
-        self._array_kernels = self.kernel == kernels.ARRAY
         self.version = Version(self.config)
         self.picker = CompactionPicker(self.config)
         self.executor = CompactionExecutor(self.fs, self.config,
-                                           self._next_table_id,
-                                           kernel=self.kernel)
+                                           self._next_table_id)
         self.memtable = MemTable(self.config)
         self.wal = WriteAheadLog(self.fs, self.config, next(self._wal_ids)) \
             if self.config.wal_enabled else None
@@ -241,12 +218,6 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------------
     # Batch API (bit-identical to the scalar loops; DESIGN.md §6)
     # ------------------------------------------------------------------
-    #: Read batches at least this large pre-resolve their table
-    #: candidates with vectorized bloom/manifest probes; smaller runs
-    #: (the norm for mixed workloads, where same-kind runs are short)
-    #: probe per key — numpy setup would cost more than it saves.
-    BULK_PROBE_MIN = 8
-
     def put_many(self, keys, vseeds, vlens, until: float | None = None,
                  latencies: list | None = None) -> int:
         """Batched puts: bulk memtable upsert + batched WAL accounting.
@@ -271,13 +242,10 @@ class LSMStore(KVStore):
                  latencies: list | None = None) -> int:
         """Batched point lookups (DESIGN.md §7.3).
 
-        The run shares one snapshot of the read structure — lookups
-        never mutate the tree, so the memtable references and the
-        manifest are loop invariants — and large runs bulk-probe the
-        bloom filters and the sorted levels' manifest up front
-        (filters are memory-resident: probing costs no simulated I/O).
-        Data-block reads still happen op by op in stream order with
-        the scalar path's exact latency arithmetic.
+        Lookups never mutate the tree, so the active memtable is a
+        loop invariant; each key then takes the per-op probe of
+        :meth:`get` (memtable, immutables, L0 in order, one table per
+        sorted level, bloom-gated) with the same latency arithmetic.
         """
         self._ensure_open()
         n = len(keys)
@@ -291,36 +259,6 @@ class LSMStore(KVStore):
         keys_list = as_int_list(keys)
         memtable_get = self.memtable.get
         find = self._find
-        # Bulk pre-planning pays off only when the batch is expected to
-        # run to completion: a float `until` is a sampling boundary
-        # (rarely crossed mid-run), but a live event-aware bound stops
-        # deep-pool batches after an op or two, and pre-probing the
-        # remainder on every re-issued call would be quadratic — those
-        # calls resolve lazily through the scalar probe path instead.
-        bulk = n >= self.BULK_PROBE_MIN and (until is None
-                                             or type(until) is float)
-        plans = None
-        resolved: list = []
-        if bulk:
-            immutables = [memtable
-                          for memtable, _wal in reversed(self._immutables)]
-            resolved = [None] * n
-            miss_idx: list[int] = []
-            for i, key in enumerate(keys_list):
-                entry = memtable_get(key)
-                if entry is None:
-                    for memtable in immutables:
-                        entry = memtable.get(key)
-                        if entry is not None:
-                            break
-                if entry is not None:
-                    resolved[i] = entry
-                else:
-                    miss_idx.append(i)
-            if self._array_kernels:
-                plans = self._plan_table_probes_array(keys_list, miss_idx)
-            else:
-                plans = self._plan_table_probes(keys_list, miss_idx)
         tracer = self.tracer
         tr_on = tracer.enabled
         done = 0
@@ -331,36 +269,18 @@ class LSMStore(KVStore):
                     t0 = clock.now
                     tracer.op_begin()
                 read_latency = 0.0
-                if plans is not None:
-                    entry = resolved[i]
-                    if entry is not None:
-                        _seq, _vseed, vlen, kind = entry
-                        if kind == KIND_PUT:
-                            stats.user_bytes_read += key_bytes + vlen
-                    else:
-                        for table in plans[i]:
-                            idx = table.find(key)
-                            read_latency += self._charge_block_read(
-                                table, max(idx, 0))
-                            if idx >= 0:
-                                if int(table.kinds[idx]) == KIND_PUT:
-                                    stats.user_bytes_read += \
-                                        key_bytes + int(table.vlens[idx])
-                                break
+                entry = memtable_get(key)
+                if entry is not None:
+                    # Memtable hit: no device work, constant CPU.
+                    _seq, _vseed, vlen, kind = entry
+                    if kind == KIND_PUT:
+                        stats.user_bytes_read += key_bytes + vlen
                 else:
-                    entry = memtable_get(key)
-                    if entry is not None:
-                        # Memtable hit: no device work, constant CPU.
-                        _seq, _vseed, vlen, kind = entry
-                        if kind == KIND_PUT:
-                            stats.user_bytes_read += key_bytes + vlen
-                    else:
-                        found = find(key)
-                        if found is not None:
-                            read_latency, value = found
-                            if value is not None:
-                                stats.user_bytes_read += \
-                                    key_bytes + value.length
+                    found = find(key)
+                    if found is not None:
+                        read_latency, value = found
+                        if value is not None:
+                            stats.user_bytes_read += key_bytes + value.length
                 latency = cpu + read_latency
                 stats.gets += 1
                 if tr_on:
@@ -375,90 +295,6 @@ class LSMStore(KVStore):
             exc.ops_done = done
             raise
         return done
-
-    def _plan_table_probes(self, keys_list: list[int],
-                           miss_idx: list[int]) -> dict[int, list]:
-        """Per-op candidate tables for keys missing every memtable.
-
-        The candidate list is exactly the tables the scalar
-        :meth:`_find` would probe (L0 in order, then one table per
-        sorted level) filtered by the same bloom/range verdicts; the
-        replay loop stops at the first hit, so later candidates whose
-        probes were precomputed simply go unused — bloom verdicts have
-        no simulated cost either way.
-        """
-        plans: dict[int, list] = {i: [] for i in miss_idx}
-        if not miss_idx:
-            return plans
-        levels = self.version.levels
-        miss_keys = np.fromiter((keys_list[i] for i in miss_idx),
-                                dtype=np.int64, count=len(miss_idx))
-        for table in levels[0]:
-            for j in np.nonzero(table.may_contain_many(miss_keys))[0].tolist():
-                plans[miss_idx[j]].append(table)
-        for level in range(1, self.config.num_levels):
-            if not levels[level]:
-                continue
-            assigned = self.version.find_tables(level, miss_keys)
-            by_table: dict[int, tuple] = {}
-            for j, table in enumerate(assigned):
-                if table is not None:
-                    by_table.setdefault(id(table), (table, []))[1].append(j)
-            for table, js in by_table.values():
-                for j, ok in zip(js, table.may_contain_many(
-                        miss_keys[js]).tolist()):
-                    if ok:
-                        plans[miss_idx[j]].append(table)
-        return plans
-
-    def _plan_table_probes_array(self, keys_list: list[int],
-                                 miss_idx: list[int]) -> dict[int, list]:
-        """Array kernel for :meth:`_plan_table_probes` (DESIGN.md §13).
-
-        Produces the identical per-op candidate lists — the bloom
-        verdict per (key, table) and the sorted-level table assignment
-        are bit-equal to the scalar planner's — but the keys are hashed
-        once for the whole round (:func:`~repro.lsm.bloom.hash_keys`,
-        shared across every table's filter) and the sorted levels
-        resolve through :meth:`~repro.lsm.version.Version.
-        find_table_indexes` plus one stable argsort per level instead
-        of a per-key Python bucketing loop.
-        """
-        plans: dict[int, list] = {i: [] for i in miss_idx}
-        if not miss_idx:
-            return plans
-        levels = self.version.levels
-        miss_keys = np.fromiter((keys_list[i] for i in miss_idx),
-                                dtype=np.int64, count=len(miss_idx))
-        h1, h2 = hash_keys(miss_keys)
-        for table in levels[0]:
-            for j in np.nonzero(
-                    table.may_contain_hashed(miss_keys, h1, h2))[0].tolist():
-                plans[miss_idx[j]].append(table)
-        for level in range(1, self.config.num_levels):
-            tables = levels[level]
-            if not tables:
-                continue
-            idxs = self.version.find_table_indexes(level, miss_keys)
-            hit = np.nonzero(idxs >= 0)[0]
-            if not len(hit):
-                continue
-            # Group keys by assigned table: sort the hit positions by
-            # table index, then walk the group boundaries.  Each key
-            # maps to at most one table per level, so plan order per
-            # key is level order regardless of group order.
-            order = hit[np.argsort(idxs[hit], kind="stable")]
-            tidx = idxs[order]
-            starts = np.nonzero(
-                np.r_[True, tidx[1:] != tidx[:-1]])[0].tolist()
-            starts.append(len(tidx))
-            for s, e in zip(starts, starts[1:]):
-                table = tables[int(tidx[s])]
-                js = order[s:e]
-                ok = table.may_contain_hashed(miss_keys[js], h1[js], h2[js])
-                for j in js[ok].tolist():
-                    plans[miss_idx[j]].append(table)
-        return plans
 
     def scan_many(self, start_keys, count: int, until: float | None = None,
                   latencies: list | None = None) -> int:
@@ -483,17 +319,9 @@ class LSMStore(KVStore):
         append = None if latencies is None else latencies.append
         keys_list = as_int_list(start_keys)
         tables = [table for _level, table in self.version.all_tables()]
-        # Array kernel (DESIGN.md §13): shared per-source column
-        # arrays, merged per scan by one composite-key argsort.  None
-        # means the packing could overflow — fall back to the scalar
-        # heap merge, which is also the pinned oracle.
-        sources = self._scan_merge_sources(tables) \
-            if self._array_kernels else None
-        snapshots = None
-        if sources is None:
-            snapshots = [self.memtable.sorted_items()]
-            for memtable, _wal in self._immutables:
-                snapshots.append(memtable.sorted_items())
+        snapshots = [self.memtable.sorted_items()]
+        for memtable, _wal in self._immutables:
+            snapshots.append(memtable.sorted_items())
         tracer = self.tracer
         tr_on = tracer.enabled
         done = 0
@@ -502,12 +330,8 @@ class LSMStore(KVStore):
                 if tr_on:
                     t0 = clock.now
                     tracer.op_begin()
-                if sources is not None:
-                    latency = cpu + self._scan_once_array(keys_list[i], count,
-                                                          sources)
-                else:
-                    latency = cpu + self._scan_once(keys_list[i], count,
-                                                    snapshots, tables)
+                latency = cpu + self._scan_once(keys_list[i], count,
+                                                snapshots, tables)
                 stats.scans += 1
                 if tr_on:
                     tracer.op_end("scan", t0, latency)
@@ -590,157 +414,6 @@ class LSMStore(KVStore):
             offset = int(table._offsets[first])
             nbytes = int(table._offsets[end]) - offset
             read_latency, _ = self.fs.pread(
-                table.filename, offset, min(nbytes, table.data_bytes - offset))
-            latency += read_latency
-        return latency
-
-    def _scan_merge_sources(self, tables: list) -> list | None:
-        """Per-source column arrays for the array scan merge, or None.
-
-        Sources are ordered exactly like the scalar merge enters them
-        into its heap: the active memtable, the immutables in rotation
-        order, then the manifest's tables in :meth:`Version.all_tables`
-        order (the order only matters for the per-table read charges —
-        sequence numbers are globally unique, so the merge order itself
-        has no ties).  Returns None when any key or the sequence
-        counter could overflow the composite packing; the caller then
-        uses the scalar heap merge.
-        """
-        if self._next_seq > _SEQ_SPAN:
-            return None
-        sources: list = []
-        memtables = [self.memtable]
-        memtables.extend(m for m, _wal in self._immutables)
-        for memtable in memtables:
-            keys, comp, vlens = memtable.sorted_columns()
-            if len(keys) and (int(keys[0]) < 0 or int(keys[-1]) >= _KEY_SPAN):
-                return None
-            sources.append((comp, vlens, None))
-        for table in tables:
-            if table.min_key < 0 or table.max_key >= _KEY_SPAN:
-                return None
-            sources.append((table.scan_comp, table.vlens, table))
-        return sources
-
-    def _scan_once_array(self, start_key: int, count: int,
-                         sources: list) -> float:
-        """Array kernel for :meth:`_scan_once` (DESIGN.md §13).
-
-        One composite-key stable argsort over a window of ``count + 1``
-        entries per source replaces the Python heap: the sorted prefix
-        below the smallest out-of-window composite is exactly the
-        scalar merge's pop sequence, so duplicate suppression (first
-        occurrence per key), result counting (first-occurrence puts),
-        and the stop position (the pop that emits result ``count``)
-        are computed on that prefix with masks.  Windows double and the
-        merge recomputes in the rare case the fixed window cannot
-        prove ``count`` results (duplicate/tombstone pile-ups).  The
-        scalar invariants carried over bit for bit: every active table
-        consumes at least its first entry (the initial one-ahead push),
-        a table's consumed window ends at ``first + pops + 1`` capped
-        to the table, and the windows are charged as one sequential
-        read per table in source order.
-        """
-        active: list = []      # (pos, comp, vlens) per active source
-        charged: list = []     # (table, first, source index) in order
-        in_span = 0 < start_key < _KEY_SPAN
-        target = start_key << 41 if in_span else 0
-        for comp, vlens, table in sources:
-            if table is not None:
-                if table.max_key < start_key:
-                    continue
-                # comp >= key << 41 exactly when key >= start_key, so
-                # the composite bound finds the scalar start position.
-                pos = int(comp.searchsorted(target)) if in_span else 0
-                charged.append((table, pos, len(active)))
-            else:
-                n = len(comp)
-                if in_span:
-                    pos = int(comp.searchsorted(target))
-                elif start_key < _KEY_SPAN:
-                    pos = 0
-                else:
-                    pos = n
-                if pos >= n:
-                    continue
-            active.append((pos, comp, vlens))
-
-        pops = None
-        if count > 0 and active:
-            window = count + 1
-            while True:
-                boundary = None
-                parts: list = []
-                cumlens: list = []
-                total = 0
-                for pos, comp, _vlens in active:
-                    nentries = len(comp)
-                    end = pos + window
-                    if end < nentries:
-                        b = int(comp[end])
-                        if boundary is None or b < boundary:
-                            boundary = b
-                    else:
-                        end = nentries
-                    parts.append((pos, end))
-                    total += end - pos
-                    cumlens.append(total)
-                ccomp = np.concatenate(
-                    [src[1][p:e] for src, (p, e) in zip(active, parts)])
-                order = np.argsort(ccomp, kind="stable")
-                scomp = ccomp[order]
-                # Only the prefix below the smallest out-of-window
-                # composite is provably the true merge order: a deeper
-                # entry of a truncated source could interleave later.
-                limit = len(scomp) if boundary is None else int(
-                    scomp.searchsorted(boundary))
-                swin = scomp[:limit]
-                hi = swin >> SCAN_KEY_SHIFT
-                newkey = np.empty(limit, dtype=bool)
-                if limit:
-                    newkey[0] = True
-                    np.not_equal(hi[1:], hi[:-1], out=newkey[1:])
-                # A pop emits a result iff it is the first (newest-seq)
-                # occurrence of its key and is a put — the scalar
-                # last_key/KIND_PUT rule.  KIND_PUT is the packed low
-                # bit's zero value.
-                emit = newkey & ((swin & SCAN_KIND_BIT) == KIND_PUT)
-                cum = np.cumsum(emit)
-                stop = int(cum.searchsorted(count))
-                if stop < limit:
-                    npop = stop + 1
-                    break
-                if boundary is None:
-                    npop = limit  # sources exhausted before count
-                    break
-                window *= 2
-
-            if npop:
-                psel = order[:npop]
-                emitted = emit[:npop]
-                nemit = int(emitted.sum())
-                if nemit:
-                    cvlens = np.concatenate(
-                        [src[2][p:e] for src, (p, e) in zip(active, parts)])
-                    self._stats.user_bytes_read += (
-                        nemit * self.config.key_bytes
-                        + int(cvlens[psel[emitted]].sum()))
-                # Concatenation index -> source index, then pops per
-                # source (how far each scalar cursor advanced).
-                src = np.searchsorted(cumlens, psel, side="right")
-                pops = np.bincount(src, minlength=len(active))
-
-        latency = 0.0
-        pread = self.fs.pread
-        for table, first, si in charged:
-            popped = int(pops[si]) if pops is not None else 0
-            end = first + popped + 1
-            nentries = len(table.keys)
-            if end > nentries:
-                end = nentries
-            offset = int(table._offsets[first])
-            nbytes = int(table._offsets[end]) - offset
-            read_latency, _ = pread(
                 table.filename, offset, min(nbytes, table.data_bytes - offset))
             latency += read_latency
         return latency

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.lsm.config import LSMConfig
 from repro.lsm.sstable import SSTable
@@ -25,11 +23,6 @@ class Version:
         self.levels: list[list[SSTable]] = [[] for _ in range(config.num_levels)]
         self._level_bytes = [0] * config.num_levels
         self._min_keys: list[list[int]] = [[] for _ in range(config.num_levels)]
-        # Parallel max-key column for sorted levels: lets the batched
-        # read planner fold the per-table bound check of find_table
-        # into one array gather (find_table_indexes) instead of a
-        # Python loop over table objects.
-        self._max_keys: list[list[int]] = [[] for _ in range(config.num_levels)]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -43,7 +36,6 @@ class Version:
             idx = bisect_right(self._min_keys[level], table.min_key)
             self.levels[level].insert(idx, table)
             self._min_keys[level].insert(idx, table.min_key)
-            self._max_keys[level].insert(idx, table.max_key)
         self._level_bytes[level] += table.data_bytes
 
     def remove(self, level: int, table: SSTable) -> None:
@@ -53,7 +45,6 @@ class Version:
         del self.levels[level][idx]
         if level > 0:
             del self._min_keys[level][idx]
-            del self._max_keys[level][idx]
         self._level_bytes[level] -= table.data_bytes
 
     # ------------------------------------------------------------------
@@ -105,49 +96,6 @@ class Version:
         table = self.levels[level][idx]
         return table if key <= table.max_key else None
 
-    def find_tables(self, level: int, keys: np.ndarray) -> list[SSTable | None]:
-        """Vectorized :meth:`find_table` over a key batch.
-
-        One ``searchsorted`` against the level's min-key column
-        replaces a ``bisect_right`` per key; the per-key verdict is
-        identical.  Used by the LSM's batched read path to amortize
-        manifest lookups across a run (DESIGN.md §7.3).
-        """
-        self._check_level(level)
-        if level == 0:
-            raise ConfigError("find_tables is for sorted levels; probe L0 in order")
-        tables = self.levels[level]
-        min_keys = np.asarray(self._min_keys[level], dtype=np.int64)
-        idxs = np.searchsorted(min_keys, keys, side="right") - 1
-        out: list[SSTable | None] = []
-        for key, idx in zip(keys.tolist(), idxs.tolist()):
-            if idx < 0:
-                out.append(None)
-                continue
-            table = tables[idx]
-            out.append(table if key <= table.max_key else None)
-        return out
-
-    def find_table_indexes(self, level: int, keys: np.ndarray) -> np.ndarray:
-        """:meth:`find_tables` as a pure index array (no object loop).
-
-        Returns, per key, the index into ``levels[level]`` of the
-        unique table that may hold it, or ``-1`` — the same verdict as
-        :meth:`find_table`, but the bound check runs against the
-        level's parallel max-key column as one gather, so no Python
-        executes per key.  Used by the array read-planning kernel
-        (DESIGN.md §13).
-        """
-        self._check_level(level)
-        if level == 0:
-            raise ConfigError(
-                "find_table_indexes is for sorted levels; probe L0 in order")
-        min_keys = np.asarray(self._min_keys[level], dtype=np.int64)
-        idxs = np.searchsorted(min_keys, keys, side="right") - 1
-        max_keys = np.asarray(self._max_keys[level], dtype=np.int64)
-        ok = (idxs >= 0) & (keys <= max_keys[np.maximum(idxs, 0)])
-        return np.where(ok, idxs, -1)
-
     def deepest_nonempty_level(self) -> int:
         """Index of the deepest level with data, or -1 when empty."""
         for level in range(self.config.num_levels - 1, -1, -1):
@@ -165,7 +113,6 @@ class Version:
             if level == 0:
                 continue
             assert self._min_keys[level] == [t.min_key for t in tables]
-            assert self._max_keys[level] == [t.max_key for t in tables]
             for left, right in zip(tables, tables[1:]):
                 assert left.max_key < right.min_key, (
                     f"L{level} files overlap: "

@@ -193,135 +193,138 @@ class TestPropertyBased:
         alloc.check_invariants()
 
 
-def _pair(npages=128, strategy="scatter", seed=5):
-    """A scalar/array allocator pair for oracle-pinned edge cases."""
-    return (
-        ExtentAllocator(npages, strategy=strategy, seed=seed, kernel="scalar"),
-        ExtentAllocator(npages, strategy=strategy, seed=seed, kernel="array"),
-    )
+#: sha256 of the scatter extent stream under churn (see
+#: ``TestEdgeCaseOraclePins.test_scatter_stream_identical_under_churn``),
+#: recorded while the array allocator was still pinned equal to this one.
+SCATTER_CHURN_STREAM = (
+    "b497b1fb0349bca25e35015d85d1f1fb8dc6da64588842941374ad349d7b2daf")
 
 
-def _assert_lockstep(scalar, array):
-    assert scalar.free_extents() == array.free_extents()
-    assert scalar.free_pages == array.free_pages
-    assert scalar.peak_used_pages == array.peak_used_pages
-    scalar.check_invariants()
-    array.check_invariants()
+def _check(alloc, free_extents, free_pages, peak_used_pages):
+    assert alloc.free_extents() == free_extents
+    assert alloc.free_pages == free_pages
+    assert alloc.peak_used_pages == peak_used_pages
+    alloc.check_invariants()
 
 
 class TestEdgeCaseOraclePins:
-    """ISSUE 9 satellite: edge cases pinned scalar-vs-array.
-
-    Each scenario drives the scalar oracle and the array kernel in
-    lockstep and asserts identical free lists, accounting and (where
-    RNG is involved) extent streams.
-    """
+    """Allocator edge cases with their exact expected outcomes."""
 
     def test_coalescing_across_adjacent_frees(self):
-        # free B, then A, then C where A|B|C are address-adjacent:
-        # the final free list must be one merged run however the
-        # frees are ordered.
+        # A|B|C are address-adjacent: the final free list must be one
+        # merged run however the frees are ordered.
         import itertools as it
 
         for order in it.permutations(range(3)):
-            scalar, array = _pair(strategy="first-fit")
-            runs = []
-            for alloc in (scalar, array):
-                a = alloc.alloc(10, contiguous=True)[0]
-                b = alloc.alloc(10, contiguous=True)[0]
-                c = alloc.alloc(10, contiguous=True)[0]
-                alloc.alloc(20, contiguous=True)  # pin a neighbour
-                runs.append((a, b, c))
-            assert runs[0] == runs[1]
+            alloc = ExtentAllocator(128, strategy="first-fit", seed=5)
+            runs = [alloc.alloc(10, contiguous=True)[0] for _ in range(3)]
+            assert runs == [(0, 10), (10, 10), (20, 10)]
+            alloc.alloc(20, contiguous=True)  # pin a neighbour
             for idx in order:
-                for alloc, run in zip((scalar, array), runs):
-                    alloc.free(*run[idx])
-                _assert_lockstep(scalar, array)
-            assert scalar.free_extents()[0] == (0, 30)
+                alloc.free(*runs[idx])
+                alloc.check_invariants()
+            _check(alloc, [(0, 30), (50, 78)], 108, 50)
 
     def test_exhaustion_mid_alloc_with_partial_extents(self):
         # Fragment the space into single free pages, then ask for more
-        # than exists: both kernels must raise without corrupting
+        # than exists: the allocator must raise without corrupting
         # accounting, and a satisfiable scattered request must then
-        # return the identical multi-extent answer.
-        scalar, array = _pair(npages=64, strategy="first-fit")
-        for alloc in (scalar, array):
-            held = alloc.alloc(64)  # everything
-            [(start, n)] = held
-            for page in range(start, start + n, 2):
-                alloc.free(page, 1)  # free alternate pages
-        _assert_lockstep(scalar, array)
-        assert scalar.free_pages == 32
-        for alloc in (scalar, array):
-            with pytest.raises(NoSpaceError):
-                alloc.alloc(33)
-            with pytest.raises(NoSpaceError):
-                alloc.alloc(2, contiguous=True)
-        _assert_lockstep(scalar, array)
-        got_s = scalar.alloc(5)
-        got_a = array.alloc(5)
-        assert got_s == got_a
-        assert all(n == 1 for _, n in got_s)  # partial extents gathered
-        _assert_lockstep(scalar, array)
+        # gather single-page extents.
+        alloc = ExtentAllocator(64, strategy="first-fit", seed=5)
+        [(start, n)] = alloc.alloc(64)  # everything
+        for page in range(start, start + n, 2):
+            alloc.free(page, 1)  # free alternate pages
+        singles = [(page, 1) for page in range(0, 64, 2)]
+        _check(alloc, singles, 32, 64)
+        with pytest.raises(NoSpaceError):
+            alloc.alloc(33)
+        with pytest.raises(NoSpaceError):
+            alloc.alloc(2, contiguous=True)
+        _check(alloc, singles, 32, 64)
+        got = alloc.alloc(5)
+        assert got == [(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)]
+        _check(alloc, singles[5:], 27, 64)
 
     def test_carve_splits_at_both_extent_boundaries(self):
         # Taking from the head, the tail, and the middle of one free
         # extent exercises all three _carve branches.
         for take_at in ("head", "tail", "middle"):
-            scalar, array = _pair(npages=100, strategy="first-fit")
-            for alloc in (scalar, array):
-                # leave one free extent [20, 80) surrounded by used space
-                alloc.alloc(100, contiguous=True)
-                alloc.free(20, 60)
-                if take_at == "head":
-                    got = alloc.alloc(10, contiguous=True)
-                    assert got == [(20, 10)]
-                elif take_at == "tail":
-                    # first-fit takes from the head; carve the tail by
-                    # freeing a second, earlier extent the request skips
-                    alloc.free(0, 5)
-                    got = alloc.alloc(5, contiguous=True)
-                    assert got == [(0, 5)]
-                    got = alloc.alloc(60, contiguous=False)
-                else:
-                    got = alloc.alloc(10, contiguous=True)
-                    alloc.free(got[0][0] + 2, 6)  # punch a hole mid-extent
-            _assert_lockstep(scalar, array)
+            alloc = ExtentAllocator(100, strategy="first-fit", seed=5)
+            # leave one free extent [20, 80) surrounded by used space
+            alloc.alloc(100, contiguous=True)
+            alloc.free(20, 60)
+            if take_at == "head":
+                assert alloc.alloc(10, contiguous=True) == [(20, 10)]
+                _check(alloc, [(30, 50)], 50, 100)
+            elif take_at == "tail":
+                # first-fit takes from the head; carve the tail by
+                # freeing a second, earlier extent the request skips
+                alloc.free(0, 5)
+                assert alloc.alloc(5, contiguous=True) == [(0, 5)]
+                assert alloc.alloc(60, contiguous=False) == [(20, 60)]
+                _check(alloc, [], 0, 100)
+            else:
+                got = alloc.alloc(10, contiguous=True)
+                assert got == [(20, 10)]
+                alloc.free(22, 6)  # punch a hole mid-extent
+                _check(alloc, [(22, 6), (30, 50)], 56, 100)
 
     def test_scatter_stream_identical_under_churn(self):
-        # The strongest pin: the scatter strategy consumes RNG, so the
-        # array kernel must reproduce the exact extent stream, not just
-        # the final free list.
-        scalar, array = _pair(npages=512, strategy="scatter", seed=11)
+        # The scatter strategy consumes RNG, so the whole extent stream
+        # (not just the final free list) is pinned.
+        import hashlib
+
+        alloc = ExtentAllocator(512, strategy="scatter", seed=11)
         rng = np.random.default_rng(2)
         held: list[tuple[int, int]] = []
+        stream = []
         for _ in range(400):
             if held and rng.random() < 0.45:
                 ext = held.pop(int(rng.integers(len(held))))
-                scalar.free(*ext)
-                array.free(*ext)
-            elif scalar.free_pages:
-                want = int(rng.integers(1, min(48, scalar.free_pages) + 1))
-                got_s = scalar.alloc(want)
-                got_a = array.alloc(want)
-                assert got_s == got_a
-                held.extend(got_s)
-        _assert_lockstep(scalar, array)
+                alloc.free(*ext)
+            elif alloc.free_pages:
+                want = int(rng.integers(1, min(48, alloc.free_pages) + 1))
+                got = alloc.alloc(want)
+                assert sum(n for _, n in got) == want
+                stream.append(got)
+                held.extend(got)
+            alloc.check_invariants()
+        assert alloc.free_pages == 512 - sum(n for _, n in held)
+        digest = hashlib.sha256(repr(stream).encode()).hexdigest()
+        assert digest == SCATTER_CHURN_STREAM
 
     def test_free_many_matches_sequential_frees(self):
-        scalar, array = _pair(npages=256, strategy="first-fit")
-        extents_s = scalar.alloc(200)
-        extents_a = array.alloc(200)
-        assert extents_s == extents_a
-        scalar.free_many(extents_s)
-        array.free_many(extents_a)
-        _assert_lockstep(scalar, array)
-        assert scalar.free_extents() == [(0, 256)]
+        batch = ExtentAllocator(256, strategy="first-fit")
+        single = ExtentAllocator(256, strategy="first-fit")
+        extents = [batch.alloc(10, contiguous=True)[0] for _ in range(20)]
+        assert [single.alloc(10, contiguous=True)[0]
+                for _ in range(20)] == extents
+        odd = extents[1::2][::-1]  # non-adjacent, freed out of order
+        batch.free_many(odd)
+        for extent in odd:
+            single.free(*extent)
+        assert batch.free_extents() == single.free_extents()
+        assert batch.free_pages == single.free_pages
+        batch.free_many(extents[::2])  # fills every gap: one run
+        _check(batch, [(0, 256)], 256, 200)
 
     def test_free_many_double_free_detected(self):
-        for kernel in ("scalar", "array"):
-            alloc = ExtentAllocator(64, kernel=kernel)
-            got = alloc.alloc(16)
+        alloc = ExtentAllocator(64)
+        got = alloc.alloc(16)
+        alloc.free_many(got)
+        with pytest.raises(ConfigError):
             alloc.free_many(got)
+        # A batch that fails validation frees nothing, even when its
+        # first extents alone would have been valid.
+        first = alloc.alloc(8, contiguous=True)[0]
+        second = alloc.alloc(8, contiguous=True)[0]
+        free_start = alloc.free_extents()[0][0]
+        for bad in ([first, second, second],        # overlap in the batch
+                    [first, (second[0], 0)],        # empty extent
+                    [first, (60, 8)],               # beyond the device
+                    [first, second, (free_start, 1)]):  # already free
+            before = (alloc.free_extents(), alloc.free_pages)
             with pytest.raises(ConfigError):
-                alloc.free_many(got)
+                alloc.free_many(bad)
+            assert (alloc.free_extents(), alloc.free_pages) == before
+            alloc.check_invariants()

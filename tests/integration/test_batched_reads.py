@@ -1,8 +1,7 @@
 """Native batched read/scan paths vs their scalar loops (DESIGN.md §7.3).
 
-``get_many`` / ``scan_many`` are natively batched in both engines as
-of PR 4 (bulk bloom probes and amortized manifest lookups for the LSM,
-sorted-snapshot cursor reuse for LSM scans, cached-leaf descent reuse
+``get_many`` / ``scan_many`` are natively batched in both engines
+(sorted-snapshot cursor reuse for LSM scans, cached-leaf descent reuse
 for the B+Tree).  These tests drive the batch methods directly against
 a twin store running the scalar loop and require bit-identical clocks,
 stats, and SMART counters — including under ``until`` cuts and
@@ -121,9 +120,10 @@ def test_until_cuts_after_crossing_op(engine, method):
 
 
 def test_lsm_bulk_and_lazy_probe_paths_agree():
-    """The vectorized pre-planned path (large batch, float until) and
-    the lazy per-op path (live until proxy) must produce identical
-    results — they share the bloom/range verdict definitions."""
+    """A large batch with no ``until`` and the same batch under a live
+    ``until`` proxy that never fires must produce identical results:
+    the bound only decides where a batch stops, never how a key is
+    probed."""
     spec = WorkloadSpec(nkeys=300, value_bytes=120)
     a, ssd_a = make_store("lsm")
     b, ssd_b = make_store("lsm")
@@ -143,8 +143,8 @@ def test_lsm_bulk_and_lazy_probe_paths_agree():
         np.arange(0, 80, dtype=np.int64),
         np.array([10_000, 20_000], dtype=np.int64),
     ])
-    assert a.get_many(keys) == len(keys)  # bulk pre-planned
-    assert b.get_many(keys, until=NeverUntil()) == len(keys)  # lazy
+    assert a.get_many(keys) == len(keys)
+    assert b.get_many(keys, until=NeverUntil()) == len(keys)
     assert a.clock.now == b.clock.now
     assert asdict(a.stats.snapshot()) == asdict(b.stats.snapshot())
     assert ssd_a.smart.as_dict() == ssd_b.smart.as_dict()

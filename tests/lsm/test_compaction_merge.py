@@ -1,9 +1,9 @@
-"""Compaction-merge semantics, pinned scalar-first then on the array kernel.
+"""Compaction-merge semantics of `CompactionExecutor._merge`.
 
-These are the oracle pins for `CompactionExecutor._merge` (DESIGN.md
-§12): every scenario runs once on the scalar (lexsort) merge and once
-on the composite-key array merge, and the resulting table contents,
-version shape and stats must be identical.
+Hand-written scenarios pin the output tables and stats exactly; a
+randomized merge is checked against a plain-dict model (newest
+sequence number per key wins, tombstones dropped at the bottom), and
+the merge order against Python's stable sort on (key, -seq).
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from repro.lsm.memtable import KIND_DELETE, KIND_PUT
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import Version
 
-KERNELS = ("scalar", "array")
-
 
 def make_table(table_id, entries, config):
     """Build an SSTable from [(key, seq, kind), ...] (sorted by key)."""
@@ -38,15 +36,14 @@ def make_table(table_id, entries, config):
 
 
 class Harness:
-    """A filesystem + version + executor with a chosen merge kernel."""
+    """A filesystem + version + compaction executor."""
 
-    def __init__(self, tiny_ssd, kernel):
+    def __init__(self, tiny_ssd):
         self.config = LSMConfig()
         self.fs = ExtentFilesystem(BlockDevice(tiny_ssd))
         self.version = Version(self.config)
         self.executor = CompactionExecutor(
             self.fs, self.config, lambda c=itertools.count(100): next(c),
-            kernel=kernel,
         )
 
     def install(self, level, table):
@@ -67,19 +64,14 @@ class Harness:
         ]
 
 
-def run_both(tiny_ssd_factory, scenario):
-    """Run *scenario* under both kernels; return both result snapshots."""
-    results = []
-    for kernel in KERNELS:
-        h = Harness(tiny_ssd_factory(), kernel)
-        out = scenario(h)
-        stats = h.executor.stats
-        results.append((out, (
-            stats.compactions, stats.entries_merged,
-            stats.entries_dropped, stats.tombstones_dropped,
-        )))
-    assert results[0] == results[1], "scalar and array merges diverge"
-    return results[0]
+def run_once(tiny_ssd_factory, scenario):
+    """Run *scenario* on a fresh harness; return (snapshot, stats)."""
+    h = Harness(tiny_ssd_factory())
+    out = scenario(h)
+    stats = h.executor.stats
+    h.fs.check_invariants()
+    return out, (stats.compactions, stats.entries_merged,
+                 stats.entries_dropped, stats.tombstones_dropped)
 
 
 @pytest.fixture
@@ -100,7 +92,7 @@ class TestMergeSemantics:
             out = h.merge(1, 2, [new], [old])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run_once(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [10, 20, 30]
         assert seqs == [5, 2, 6]  # newest seq for key 10 survives
@@ -116,7 +108,7 @@ class TestMergeSemantics:
             out = h.merge(1, 2, [dead], [live])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run_once(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [1]  # key 2: put superseded AND tombstone dropped
         assert kinds == [KIND_PUT]
@@ -133,7 +125,7 @@ class TestMergeSemantics:
             out = h.merge(1, 2, [dead], [live])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run_once(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [2]
         assert kinds == [KIND_DELETE]  # must survive to shadow deeper puts
@@ -152,7 +144,7 @@ class TestMergeSemantics:
             out = h.merge(0, 1, [a, b], [c])
             return h.snapshot(out)
 
-        out, stats = run_both(ssd_factory, scenario)
+        out, stats = run_once(ssd_factory, scenario)
         (keys, seqs, kinds), = out
         assert keys == [5, 7, 9]
         assert seqs == [20, 11, 21]  # highest seq per key wins
@@ -161,41 +153,60 @@ class TestMergeSemantics:
 
     def test_merge_randomized_kernel_equivalence(self, ssd_factory):
         rng = np.random.default_rng(42)
-        for trial in range(5):
-            state = rng.bit_generator.state
+        for _trial in range(5):
+            h = Harness(ssd_factory())
+            seq = itertools.count(1)
+            tables = []
+            for tid in range(1, 5):
+                keys = np.unique(rng.integers(0, 60, size=12))
+                entries = [
+                    (int(k), next(seq),
+                     KIND_DELETE if rng.random() < 0.2 else KIND_PUT)
+                    for k in keys
+                ]
+                tables.append(make_table(tid, entries, h.config))
+            h.install(0, tables[0])
+            h.install(0, tables[1])
+            for t in tables[2:]:
+                try:
+                    h.version.add(1, t)
+                except Exception:
+                    continue  # overlapping level-1 placement: skip table
+                h.fs.create(t.filename)
+                h.fs.append(t.filename, t.data_bytes, background=True)
+            inputs = tables[:2] + list(h.version.levels[1])
+            # Model: newest seq per key wins; level 1 is the bottom, so
+            # winning tombstones vanish.
+            newest: dict[int, tuple[int, int]] = {}
+            merged = 0
+            for t in inputs:
+                for k, sq, kd in zip(t.keys.tolist(), t.seqs.tolist(),
+                                     t.kinds.tolist()):
+                    merged += 1
+                    if k not in newest or sq > newest[k][0]:
+                        newest[k] = (sq, kd)
+            live = sorted((k, sq) for k, (sq, kd) in newest.items()
+                          if kd == KIND_PUT)
+            out = h.merge(0, 1, tables[:2], h.version.levels[1])
+            got = [(k, sq) for t in out
+                   for k, sq in zip(t.keys.tolist(), t.seqs.tolist())]
+            assert got == live
+            stats = h.executor.stats
+            assert stats.entries_merged == merged
+            assert stats.entries_dropped == merged - len(newest)
+            assert stats.tombstones_dropped == len(newest) - len(live)
+            h.version.check_invariants()
+            h.fs.check_invariants()
 
-            def scenario(h, state=state):
-                local = np.random.default_rng(0)
-                local.bit_generator.state = state
-                seq = itertools.count(1)
-                tables = []
-                for tid in range(1, 5):
-                    keys = np.unique(local.integers(0, 60, size=12))
-                    entries = [
-                        (int(k), next(seq),
-                         KIND_DELETE if local.random() < 0.2 else KIND_PUT)
-                        for k in keys
-                    ]
-                    tables.append(make_table(tid, entries, h.config))
-                h.install(0, tables[0])
-                h.install(0, tables[1])
-                for t in tables[2:]:
-                    try:
-                        h.version.add(1, t)
-                        h.fs.create(t.filename)
-                        h.fs.append(t.filename, t.data_bytes, background=True)
-                    except Exception:
-                        continue  # overlapping level-1 placement: skip table
-                next_inputs = [t for t in h.version.levels[1]]
-                out = h.merge(0, 1, tables[:2], next_inputs)
-                return h.snapshot(out)
 
-            run_both(ssd_factory, scenario)
+def stable_order(keys: np.ndarray, seqs: np.ndarray) -> list[int]:
+    """(key asc, seq desc), ties in input order: Python's stable sort."""
+    return sorted(range(len(keys)),
+                  key=lambda i: (int(keys[i]), -int(seqs[i])))
 
 
 class TestMergeOrderKernel:
-    def test_order_matches_lexsort_oracle(self, ssd_factory):
-        h = Harness(ssd_factory(), "array")
+    def test_order_matches_lexsort_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             runs = []
@@ -205,13 +216,13 @@ class TestMergeOrderKernel:
                 runs.append((keys.astype(np.int64), seqs.astype(np.int64)))
             keys = np.concatenate([k for k, _ in runs])
             seqs = np.concatenate([s for _, s in runs])
-            got = h.executor._merge_order(keys, seqs)
-            want = np.lexsort((-seqs, keys))
-            assert np.array_equal(got, want)
+            got = CompactionExecutor._merge_order(keys, seqs)
+            assert got.tolist() == stable_order(keys, seqs)
 
-    def test_order_overflow_falls_back(self, ssd_factory):
-        h = Harness(ssd_factory(), "array")
-        keys = np.array([1 << 23, 1 << 24], dtype=np.int64)  # beyond packing
-        seqs = np.array([5, 3], dtype=np.int64)
-        got = h.executor._merge_order(keys, seqs)
-        assert np.array_equal(got, np.lexsort((-seqs, keys)))
+    def test_order_overflow_falls_back(self):
+        """Keys and seqs beyond the composite packing take the lexsort
+        path and order the same way."""
+        keys = np.array([1 << 23, 1 << 24, 1 << 23, 5], dtype=np.int64)
+        seqs = np.array([5, 3, 1 << 41, 7], dtype=np.int64)
+        got = CompactionExecutor._merge_order(keys, seqs)
+        assert got.tolist() == stable_order(keys, seqs) == [3, 2, 0, 1]

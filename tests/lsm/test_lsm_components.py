@@ -79,19 +79,24 @@ class TestMemTable:
         assert [k for k, _ in items] == [5, 9]
 
 
+def vectorized_probe(bloom: BloomFilter, keys: np.ndarray) -> np.ndarray:
+    """Membership through the numpy bit positions ``add_many`` sets."""
+    return bloom._bits[bloom._positions(keys)].all(axis=1)
+
+
 class TestBloom:
     def test_no_false_negatives(self):
         bloom = BloomFilter(1000, 10)
         keys = np.arange(0, 5000, 5, dtype=np.int64)
         bloom.add_many(keys)
-        assert all(bloom.may_contain(int(k)) for k in keys[:200])
-        assert bloom.may_contain_many(keys).all()
+        assert all(bloom.may_contain(int(k)) for k in keys.tolist())
+        assert vectorized_probe(bloom, keys).all()
 
     def test_false_positive_rate_reasonable(self):
         bloom = BloomFilter(2000, 10)
         bloom.add_many(np.arange(2000, dtype=np.int64))
-        probes = np.arange(1_000_000, 1_020_000, dtype=np.int64)
-        fpr = bloom.may_contain_many(probes).mean()
+        probes = range(1_000_000, 1_020_000)
+        fpr = sum(map(bloom.may_contain, probes)) / len(probes)
         assert fpr < 0.05  # ~1% expected at 10 bits/key
 
     def test_empty_filter_rejects(self):
@@ -111,7 +116,7 @@ class TestBloom:
             rng.integers(-(2**63), 2**63 - 1, size=2000, dtype=np.int64),
             np.array([0, -1, 2**63 - 1, -(2**63)], dtype=np.int64),
         ])
-        vectorized = bloom.may_contain_many(probes)
+        vectorized = vectorized_probe(bloom, probes)
         for key, expected in zip(probes.tolist(), vectorized.tolist()):
             assert bloom.may_contain(key) == expected
 

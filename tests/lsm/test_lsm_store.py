@@ -191,33 +191,79 @@ class TestTreeMechanics:
         assert store.executor.stats.tombstones_dropped > 0
 
 
+#: Single ops: (kind, key, value length).
+_SINGLE_OPS = st.tuples(
+    st.sampled_from(["put", "delete", "get"]),
+    st.integers(0, 80),
+    st.integers(0, 120),
+)
+#: Batched ops: (kind, keys, value length or scan count); "flush"
+#: forces the memtable out so batches also meet SSTables.
+_BATCH_OPS = st.tuples(
+    st.sampled_from(["put_many", "delete_many", "get_many", "scan_many",
+                     "flush"]),
+    st.lists(st.integers(0, 80), min_size=1, max_size=24),
+    st.integers(0, 120),
+)
+
+
+def _model_bytes(store, model: dict, keys) -> int:
+    """User bytes a read of *keys* returns according to the model."""
+    key_bytes = store.config.key_bytes
+    return sum(key_bytes + model[key].length for key in keys if key in model)
+
+
 class TestPropertyBased:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["put", "delete", "get"]),
-                st.integers(0, 80),
-                st.integers(0, 120),
-            ),
-            min_size=1,
-            max_size=300,
-        )
-    )
+    @given(ops=st.lists(st.one_of(_SINGLE_OPS, _BATCH_OPS), min_size=1,
+                        max_size=200))
     def test_store_matches_dict_model(self, ops):
         store = make_store()
         model: dict[int, Value] = {}
-        for i, (kind, key, vlen) in enumerate(ops):
+        stats = store.stats
+        for i, (kind, arg, n) in enumerate(ops):
             if kind == "put":
-                value = Value(i + 1, vlen)
-                store.put(key, value)
-                model[key] = value
+                value = Value(i + 1, n)
+                store.put(arg, value)
+                model[arg] = value
             elif kind == "delete":
-                store.delete(key)
-                model.pop(key, None)
+                store.delete(arg)
+                model.pop(arg, None)
+            elif kind == "get":
+                _lat, got = store.get(arg)
+                assert got == model.get(arg)
+                continue
+            elif kind == "put_many":
+                seeds = [1000 * (i + 1) + j for j in range(len(arg))]
+                assert store.put_many(arg, seeds, n) == len(arg)
+                model.update((key, Value(seed, n))
+                             for key, seed in zip(arg, seeds))
+            elif kind == "delete_many":
+                assert store.delete_many(arg) == len(arg)
+                for key in arg:
+                    model.pop(key, None)
+            elif kind == "get_many":
+                before = stats.user_bytes_read
+                assert store.get_many(arg) == len(arg)
+                assert stats.user_bytes_read - before == \
+                    _model_bytes(store, model, arg)
+            elif kind == "scan_many":
+                count = n % 17
+                live = sorted(model)
+                before = stats.user_bytes_read
+                assert store.scan_many(arg, count) == len(arg)
+                assert stats.user_bytes_read - before == sum(
+                    _model_bytes(store, model,
+                                 [k for k in live if k >= start][:count])
+                    for start in arg)
             else:
-                _lat, got = store.get(key)
-                assert got == model.get(key)
+                store.flush()
+            if kind in ("put", "delete"):
+                continue
+            # After every batch: the whole store reads back as the model.
+            store.check_invariants()
+            _lat, scanned = store.scan(0, 10_000)
+            assert dict(scanned) == model
         store.flush()
         store.check_invariants()
         for key, value in model.items():

@@ -1,16 +1,16 @@
-"""The array LSM read kernels vs their scalar oracles (DESIGN.md §13).
+"""LSM batched read edge cases: heap scan merge and per-op probes.
 
-Two stores — one per kernel mode — receive the identical write history,
-then serve the identical read/scan batches; per-op latencies, stats
-counters and the virtual clock must match exactly (``==``, no
-tolerance).  Also pins the composite-packing overflow fallback and the
-widening-window branch of the merge kernel.
+Two stores receive the identical write history; one serves each read
+batch through ``scan_many`` / ``get_many``, the other through the
+per-op ``scan`` / ``get`` loop.  Per-op latencies, stats counters and
+the virtual clock must match exactly (``==``, no tolerance), and the
+bytes a batch reports as read must equal a plain-dict model's answer.
+The edge cases kept from the retired array merge (keys and sequence
+numbers beyond its packing range, tombstone pile-ups, exhausted
+sources, zero-count scans) now run against the heap merge.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pytest
 
 from repro.block.device import BlockDevice
 from repro.core.clock import VirtualClock
@@ -18,12 +18,15 @@ from repro.flash.ssd import SSD
 from repro.fs.filesystem import ExtentFilesystem
 from repro.kv.values import Value
 from repro.lsm.config import LSMConfig
-from repro.lsm.store import _KEY_SPAN, LSMStore
+from repro.lsm.store import LSMStore
 from repro.rng import substream
 from tests.conftest import make_tiny_config
 
+#: Keys from here up did not fit the retired scan-composite packing.
+HUGE_KEY = 1 << 22
 
-def make_store(kernel: str, **config_overrides) -> LSMStore:
+
+def make_store(**config_overrides) -> LSMStore:
     clock = VirtualClock()
     ssd = SSD(make_tiny_config(nblocks=128), clock)
     fs = ExtentFilesystem(BlockDevice(ssd))
@@ -33,28 +36,34 @@ def make_store(kernel: str, **config_overrides) -> LSMStore:
         target_file_bytes=8 * 1024,
     )
     params.update(config_overrides)
-    return LSMStore(fs, clock, LSMConfig(**params), kernel=kernel)
+    return LSMStore(fs, clock, LSMConfig(**params))
 
 
 def make_pair(**config_overrides) -> tuple[LSMStore, LSMStore]:
-    return (make_store("scalar", **config_overrides),
-            make_store("array", **config_overrides))
+    return make_store(**config_overrides), make_store(**config_overrides)
 
 
 def populate(stores, nkeys: int = 400, seed: int = 17,
-             key_of=lambda i: i) -> None:
-    """Identical multi-level write history on every store."""
+             key_of=lambda i: i) -> dict[int, int]:
+    """Identical multi-level write history on every store; returns the
+    model (key -> live value length)."""
     rng = substream(seed, "scan-kernel")
     keys = [key_of(int(k)) for k in rng.integers(0, nkeys, size=900)]
-    for store in stores:
-        for i, key in enumerate(keys):
+    model: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        for store in stores:
             if i % 11 == 10:
                 store.delete(key)
             else:
                 store.put(key, Value(key * 7 + i, 40 + (i % 5)))
+        if i % 11 == 10:
+            model.pop(key, None)
+        else:
+            model[key] = 40 + (i % 5)
     # The history crossed several memtable rotations, so reads see
     # memtable + immutables + multiple levels.
     assert stores[0].version.total_files > 1
+    return model
 
 
 def state(store: LSMStore) -> tuple:
@@ -63,108 +72,127 @@ def state(store: LSMStore) -> tuple:
             store.fs.device.ssd.smart.host_bytes_read)
 
 
-def assert_scans_identical(scalar, array, start_keys, count) -> None:
-    lat_s: list = []
-    lat_a: list = []
-    assert scalar.scan_many(start_keys, count, latencies=lat_s) == \
-        array.scan_many(start_keys, count, latencies=lat_a)
-    assert lat_a == lat_s
-    assert state(array) == state(scalar)
+def scan_bytes(store: LSMStore, model: dict, start_keys, count) -> int:
+    """Bytes the model says a scan batch returns."""
+    key_bytes = store.config.key_bytes
+    live = sorted(model)
+    total = 0
+    for start in start_keys:
+        hits = [k for k in live if k >= start][:max(count, 0)]
+        total += sum(key_bytes + model[k] for k in hits)
+    return total
+
+
+def assert_scans_identical(batched, single, start_keys, count,
+                           model: dict | None = None) -> None:
+    before = batched._stats.user_bytes_read
+    lat_b: list = []
+    assert batched.scan_many(start_keys, count, latencies=lat_b) == \
+        len(start_keys)
+    lat_s = [single.scan(key, count)[0] for key in start_keys]
+    assert lat_b == lat_s
+    assert state(batched) == state(single)
+    if model is not None:
+        assert batched._stats.user_bytes_read - before == \
+            scan_bytes(batched, model, start_keys, count)
 
 
 class TestScanMergeEquivalence:
     def test_scans_identical_across_levels(self):
-        scalar, array = make_pair()
-        populate([scalar, array])
+        batched, single = make_pair()
+        model = populate([batched, single])
         rng = substream(23, "scan-starts")
         starts = [int(k) for k in rng.integers(0, 450, size=60)]
         for count in (1, 7, 100):
-            assert_scans_identical(scalar, array, starts, count)
+            assert_scans_identical(batched, single, starts, count, model)
 
     def test_zero_count_still_charges_active_tables(self):
-        """count <= 0 pops nothing but consumes one entry per active
-        table (the scalar merge's initial one-ahead push)."""
-        scalar, array = make_pair()
-        populate([scalar, array])
-        assert_scans_identical(scalar, array, [0, 100, 399], 0)
+        """count <= 0 returns nothing but consumes one entry per active
+        table (the merge's initial one-ahead push): one read each."""
+        batched, single = make_pair()
+        model = populate([batched, single])
+        smart = batched.fs.device.ssd.smart
+        for start in (0, 100, 399):
+            active = sum(1 for _lvl, t in batched.version.all_tables()
+                         if t.max_key >= start)
+            before = smart.host_read_requests
+            assert_scans_identical(batched, single, [start], 0, model)
+            assert smart.host_read_requests - before >= active
 
     def test_scans_interleaved_with_writes(self):
-        scalar, array = make_pair()
-        populate([scalar, array], nkeys=200)
+        batched, single = make_pair()
+        model = populate([batched, single], nkeys=200)
         rng = substream(29, "interleave")
         for round_ in range(10):
             key = int(rng.integers(0, 250))
-            for store in (scalar, array):
+            for store in (batched, single):
                 store.put(key, Value(round_, 48))
-            assert_scans_identical(scalar, array,
-                                   [key, key // 2, 0], 25)
+            model[key] = 48
+            assert_scans_identical(batched, single,
+                                   [key, key // 2, 0], 25, model)
 
     def test_gets_and_probe_planning_identical(self):
-        scalar, array = make_pair()
-        populate([scalar, array])
+        batched, single = make_pair()
+        model = populate([batched, single])
         rng = substream(31, "gets")
-        # Mix of present, deleted and absent keys, batch large enough
-        # for the bulk probe planner (BULK_PROBE_MIN).
+        # Mix of present, deleted and absent keys.
         keys = [int(k) for k in rng.integers(0, 600, size=64)]
-        lat_s: list = []
-        lat_a: list = []
-        assert scalar.get_many(keys, latencies=lat_s) == \
-            array.get_many(keys, latencies=lat_a)
-        assert lat_a == lat_s
-        assert state(array) == state(scalar)
+        before = batched._stats.user_bytes_read
+        lat_b: list = []
+        assert batched.get_many(keys, latencies=lat_b) == len(keys)
+        lat_s = []
+        for key in keys:
+            latency, value = single.get(key)
+            lat_s.append(latency)
+            assert (value.length if value else None) == model.get(key)
+        assert lat_b == lat_s
+        assert state(batched) == state(single)
+        key_bytes = batched.config.key_bytes
+        assert batched._stats.user_bytes_read - before == sum(
+            key_bytes + model[k] for k in keys if k in model)
 
 
 class TestOverflowFallback:
     def test_huge_keys_fall_back_to_scalar_merge(self):
-        scalar, array = make_pair()
-        populate([scalar, array], key_of=lambda i: i + _KEY_SPAN)
-        tables = [t for _lvl, t in array.version.all_tables()]
-        assert array._scan_merge_sources(tables) is None
-        assert_scans_identical(scalar, array,
-                               [_KEY_SPAN, _KEY_SPAN + 100], 30)
-
-    def test_in_range_keys_use_the_array_merge(self):
-        array = make_store("array")
-        populate([array])
-        tables = [t for _lvl, t in array.version.all_tables()]
-        sources = array._scan_merge_sources(tables)
-        assert sources is not None
-        assert len(sources) >= 1 + len(tables)  # memtable(s) + tables
+        batched, single = make_pair()
+        model = populate([batched, single], key_of=lambda i: i + HUGE_KEY)
+        assert_scans_identical(batched, single,
+                               [HUGE_KEY, HUGE_KEY + 100], 30, model)
 
 
 class TestWideningWindow:
     def test_tombstone_runs_force_widening(self):
-        """The first ``count + 1`` merged entries are all tombstones,
-        so the fixed window cannot prove ``count`` results and the
-        kernel must widen — a wrong (non-widening) merge would
-        under-count and diverge from the scalar oracle."""
-        scalar, array = make_pair(memtable_bytes=512 * 1024)
-        for store in (scalar, array):
+        """The first ``count + 1`` merged entries are all tombstones:
+        the merge must skip the whole run to find live keys."""
+        batched, single = make_pair(memtable_bytes=512 * 1024)
+        for store in (batched, single):
             for key in range(60):
                 store.put(key, Value(key, 32))
             for key in range(50):
                 store.delete(key)
+        model = {key: 32 for key in range(50, 60)}
         # All in one memtable: 50 leading tombstones, then puts.
-        assert_scans_identical(scalar, array, [0], 2)
-        assert_scans_identical(scalar, array, [0, 10, 49, 50], 5)
+        assert_scans_identical(batched, single, [0], 2, model)
+        assert_scans_identical(batched, single, [0, 10, 49, 50], 5, model)
 
     def test_exhaustion_without_boundary_stops_clean(self):
         """Fewer live keys than requested: the merge drains every
-        source (boundary None) and stops at the true result count."""
-        scalar, array = make_pair(memtable_bytes=512 * 1024)
-        for store in (scalar, array):
+        source and stops at the true result count."""
+        batched, single = make_pair(memtable_bytes=512 * 1024)
+        for store in (batched, single):
             for key in range(8):
                 store.put(key, Value(key, 32))
-        assert_scans_identical(scalar, array, [0, 4], 100)
+        model = {key: 32 for key in range(8)}
+        assert_scans_identical(batched, single, [0, 4], 100, model)
 
 
 class TestSequenceOverflowGuard:
     def test_seq_span_exceeded_falls_back(self):
-        array = make_store("array")
-        array.put(1, Value(1, 32))
-        array._next_seq = (1 << 40) + 1
-        assert array._scan_merge_sources([]) is None
-        # And the public path still answers correctly via the oracle.
-        lat: list = []
-        assert array.scan_many([0], 5, latencies=lat) == 1
-        assert len(lat) == 1
+        """Sequence numbers past 2^40 order like any others."""
+        batched, single = make_pair()
+        for store in (batched, single):
+            store.put(1, Value(1, 32))
+            store._next_seq = (1 << 40) + 1
+            store.put(1, Value(2, 40))
+            store.put(2, Value(3, 32))
+        assert_scans_identical(batched, single, [0], 5, {1: 40, 2: 32})
