@@ -81,12 +81,12 @@ class ExperimentSpec:
     duration_capacity_writes: float = 3.5  # stop after host writes >= x*capacity
     max_ops: int | None = None
     nclients: int = 1  # concurrent clients; >1 uses the event-driven pool
-    #: Which measured-phase driver to use: "auto" picks the inline
-    #: runner at one client and the event-driven ClientPool otherwise;
-    #: "pool" forces the pool even at one client (bit-identical to
-    #: inline, DESIGN.md §7 — and it records per-op latencies, which
-    #: the queue-depth campaign needs at depth 1); "inline" forces the
-    #: single-client runner.
+    #: Which closed-loop measured-phase driver to use: "auto" picks the
+    #: inline runner at one client on one shard and the event-driven
+    #: ClientPool otherwise; "pool" forces the pool even at one client
+    #: (bit-identical to inline, DESIGN.md §7 — and it records per-op
+    #: latencies, which the queue-depth campaign needs at depth 1);
+    #: "inline" forces the single-client, single-shard runner.
     driver: str = "auto"
     #: Fleet shape (DESIGN.md §10): >1 splits the device budget into N
     #: independent shard stacks behind a key router on one clock.
@@ -159,11 +159,12 @@ class ExperimentSpec:
             raise ConfigError(
                 f"unknown driver {self.driver!r}; expected auto, inline or pool"
             )
-        if self.driver == "inline" and self.nclients > 1:
-            raise ConfigError("the inline driver is single-client; "
-                              "use driver='auto' or 'pool' with nclients > 1")
         if self.nshards < 1:
             raise ConfigError("nshards must be >= 1")
+        if self.driver == "inline" and (self.nclients > 1 or self.nshards > 1):
+            raise ConfigError("the inline driver is single-client and "
+                              "single-shard; use driver='auto' or 'pool' "
+                              "with nclients > 1 or nshards > 1")
         if self.router not in ROUTERS:
             raise ConfigError(
                 f"unknown router {self.router!r}; "
@@ -387,40 +388,65 @@ def build_stack(spec: ExperimentSpec, clock: VirtualClock | None = None,
     return clock, ssd, device, partition, fs, store, iostat, trace
 
 
-def run_experiment(spec: ExperimentSpec,
-                   use_client_pool: bool | None = None,
-                   batched: bool = True,
+def run_experiment(spec: ExperimentSpec, batched: bool = True,
                    tracer=None) -> ExperimentResult:
     """Run one full experiment and return its results.
 
-    ``use_client_pool`` overrides the driver choice: by default the
-    measured phase follows ``spec.driver`` — the seed's inline runner
-    for ``nclients == 1`` and the event-driven :class:`~repro.sim.
-    clients.ClientPool` otherwise (``driver="pool"`` forces the pool
-    even at one client, which is bit-identical to the inline runner
-    and additionally records per-op latencies).
+    Every spec shape runs the same pipeline: build ``spec.nshards``
+    stacks on one clock, load the dataset sequentially (§3.2), drain
+    the device, run the measured phase with periodic sampling, close
+    the series.  One shard is built from the spec itself; N shards
+    each get 1/N of the device budget and a per-shard seed (their own
+    SSD, channels and GC, per Roh et al.'s internal-parallelism
+    observation).  More than one shard, or an open-loop arrival
+    process, puts the stacks behind a key router
+    (:class:`~repro.fleet.sharded.ShardedStore` with the fleet SMART
+    and space facades) and fills ``result.fleet`` (DESIGN.md §10).
+
+    The measured phase is driven by the open-loop
+    :class:`~repro.fleet.pool.FleetPool` when ``spec.arrival`` is set;
+    by the event-driven :class:`~repro.sim.clients.ClientPool` for
+    more than one shard or client, or ``driver="pool"`` (bit-identical
+    to the inline runner at one client, and it records per-op
+    latencies); and by the inline runner otherwise.
 
     ``batched=False`` forces the scalar (one-op-at-a-time) load,
     runner, and pool-client loops; the default batched paths are
     bit-identical to them (DESIGN.md §6, §7), so this switch exists
-    for equivalence tests and the perf-regression harness.
+    for equivalence tests and the perf-regression harness.  Open-loop
+    service is inherently per-op.
 
     ``tracer`` attaches a :class:`repro.obs.Tracer` flight recorder to
     every layer of the stack.  It is enabled only for the measured
     phase (the load phase is not traced), and is a parameter rather
     than a spec field so traced and untraced runs share the same
     ``stable_hash``.  Tracing never changes simulated results.
-
-    Fleet specs — more than one shard, or an open-loop arrival process
-    — dispatch to :func:`run_fleet_experiment`; the single-store
-    closed-loop path below is byte-for-byte the seed's (the
-    ``nshards=1`` compatibility contract, DESIGN.md §10.4).
-    ``use_client_pool`` applies to the single-store path only.
     """
-    if spec.nshards > 1 or spec.arrival is not None:
-        return run_fleet_experiment(spec, batched=batched, tracer=tracer)
-    clock, ssd, _device, _partition, fs, store, iostat, trace = build_stack(spec)
-    attach_tracer(tracer, clock=clock, ssd=ssd, store=store)
+    shard_specs = [spec] if spec.nshards == 1 else [
+        replace(spec, capacity_bytes=spec.capacity_bytes // spec.nshards,
+                seed=_shard_seed(spec.seed, shard))
+        for shard in range(spec.nshards)
+    ]
+    clock, iostat, stacks = VirtualClock(), None, []
+    for shard_spec in shard_specs:
+        stacks.append(build_stack(shard_spec, clock=clock, iostat=iostat))
+        iostat = stacks[-1][6]
+    _, ssds, _, _, filesystems, stores, _, traces = zip(*stacks)
+    sharded = spec.nshards > 1 or spec.arrival is not None
+    if sharded:
+        store = ShardedStore(stores, make_router(spec.router, spec.nshards,
+                                                 spec.nkeys), clock)
+        ssd, fs = FleetSSD(ssds), FleetFilesystem(filesystems)
+        if spec.kill_at is not None:
+            # The victim shard records per-key WAL/journal positions so
+            # the crash can compute exactly which writes the lost
+            # buffers held.
+            stores[spec.kill_shard].enable_crash_tracking()
+    else:
+        ssd, fs, store = ssds[0], filesystems[0], stores[0]
+    attach_tracer(tracer, clock=clock)
+    for shard_ssd, shard_store in zip(ssds, stores):
+        attach_tracer(tracer, ssd=shard_ssd, store=shard_store)
     workload = spec.workload()
     collector = MetricsCollector(
         clock=clock, ssd=ssd, iostat=iostat, fs=fs, store=store,
@@ -436,53 +462,57 @@ def run_experiment(spec: ExperimentSpec,
     if tracer is not None:
         tracer.enable()  # trace the measured phase only
     peak_util = fs.utilization()
+    stats_base = [st.stats.snapshot() for st in stores]
 
-    if use_client_pool is None:
-        use_client_pool = spec.nclients > 1 or spec.driver == "pool"
     target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
     run_start = clock.now
     outcome = load
     if not load.out_of_space:
-        stop_when = lambda: collector.host_bytes_written() >= target_bytes  # noqa: E731
-        if use_client_pool:
-            pool = ClientPool(
-                store,
-                workload,
-                spec.nclients,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
+        measure = dict(
+            seed=spec.seed,
+            stop_when=lambda: collector.host_bytes_written() >= target_bytes,
+            sample_interval=spec.sample_interval,
+            on_sample=collector.sample,
+            max_ops=spec.max_ops,
+        )
+        obs = tracer if tracer is not None else NULL_TRACER
+        if spec.arrival is not None:
+            arrival = make_arrival(
+                spec.arrival, spec.arrival_rate,
+                rng_mod.substream(spec.seed, "arrival"),
+                **spec.arrival_options,
+            )
+            outcome = FleetPool(
+                store, workload, arrival, **measure,
+                queue_cap=spec.queue_cap,
                 ssd=ssd,
-                batch=batched,
-                tracer=tracer if tracer is not None else NULL_TRACER,
-            )
-            outcome = pool.run()
+                tracer=obs,
+                kill_at=spec.kill_at,
+                kill_shard=spec.kill_shard,
+                retry_limit=spec.retry_limit,
+                retry_backoff=spec.retry_backoff_ms / 1e3,
+                op_timeout=(spec.op_timeout_ms / 1e3
+                            if spec.op_timeout_ms is not None else None),
+            ).run()
+        elif spec.nshards > 1 or spec.nclients > 1 or spec.driver == "pool":
+            outcome = ClientPool(store, workload, spec.nclients, **measure,
+                                 ssd=ssd, batch=batched, tracer=obs).run()
         else:
-            outcome = run_workload(
-                store,
-                workload,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
-                batch=batched,
-            )
+            outcome = run_workload(store, workload, **measure, batch=batched)
         _close_series(collector, spec, clock, run_start)
 
     samples = collector.samples
-    steady = summarize(samples) if samples else None
     peak_util = max(peak_util, fs.allocator.peak_used_pages / fs.allocator.npages)
     dataset = max(workload.dataset_bytes, 1)
+    run_seconds = clock.now - run_start
+    trace = traces[0]
     return ExperimentResult(
         spec=spec,
         samples=samples,
-        steady=steady,
+        steady=summarize(samples) if samples else None,
         out_of_space=outcome.out_of_space or load.out_of_space,
         load_seconds=load.load_seconds,
-        run_seconds=clock.now - run_start,
+        run_seconds=run_seconds,
         ops_issued=outcome.ops_issued,
         smart=ssd.smart.as_dict(),
         peak_disk_utilization=peak_util,
@@ -498,6 +528,8 @@ def run_experiment(spec: ExperimentSpec,
             "deletes": store.stats.deletes,
         },
         attribution=tracer.attribution.as_dict() if tracer is not None else None,
+        fleet=(_fleet_summary(spec, outcome, stores, stats_base, run_seconds)
+               if sharded else None),
     )
 
 
@@ -524,172 +556,14 @@ def _close_series(collector, spec, clock, run_start) -> None:
 # ----------------------------------------------------------------------
 
 def _shard_seed(seed: int, shard: int) -> int:
-    """Deterministic per-shard seed; shard 0 keeps the spec seed.
+    """Deterministic per-shard seed of an N-shard fleet.
 
-    Keeping shard 0 on the unmodified seed makes the 1-shard fleet
-    stack byte-identical to the single-store stack (same drive-state
-    aging, same filesystem scatter), which the equivalence tests pin.
+    Shard 0 keeps the spec seed, so its drive-state aging and
+    filesystem scatter draw the same streams a single store would.
     """
     if shard == 0:
         return seed
     return (seed + 0x9E3779B97F4A7C15 * shard) & 0xFFFFFFFFFFFFFFFF
-
-
-def build_fleet_stack(spec: ExperimentSpec):
-    """Assemble a fleet of shard stacks behind a router on one clock.
-
-    Each shard owns 1/nshards of the device budget as its own SSD +
-    filesystem + engine instance (independent channels and GC, per
-    Roh et al.'s internal-parallelism observation), aged from a
-    per-shard seed; one shared :class:`IOStat` accumulates fleet-wide
-    device throughput.  Returns ``(clock, store, fleet_ssd, fleet_fs,
-    iostat, shard_ssds, shard_stores)`` where *store* is the
-    router-fronted :class:`~repro.fleet.sharded.ShardedStore`.
-    """
-    clock = VirtualClock()
-    router = make_router(spec.router, spec.nshards, spec.nkeys)
-    shard_capacity = spec.capacity_bytes // spec.nshards
-    iostat = None
-    ssds, filesystems, stores = [], [], []
-    for shard in range(spec.nshards):
-        shard_spec = replace(
-            spec,
-            name=f"{spec.name}/shard{shard}",
-            capacity_bytes=shard_capacity,
-            seed=_shard_seed(spec.seed, shard),
-            nshards=1,
-            arrival=None,
-            arrival_rate=0.0,
-            arrival_options={},
-            nclients=1,
-            driver="auto",
-            trace_lba=False,
-            kill_at=None,
-            kill_shard=0,
-        )
-        _clock, ssd, _device, _partition, fs, st, iostat, _trace = \
-            build_stack(shard_spec, clock=clock, iostat=iostat)
-        ssds.append(ssd)
-        filesystems.append(fs)
-        stores.append(st)
-    store = ShardedStore(stores, router, clock)
-    if spec.kill_at is not None:
-        # The victim shard records per-key WAL/journal positions so the
-        # crash can compute exactly which writes the lost buffers held.
-        stores[spec.kill_shard].enable_crash_tracking()
-    return clock, store, FleetSSD(ssds), FleetFilesystem(filesystems), \
-        iostat, ssds, stores
-
-
-def run_fleet_experiment(spec: ExperimentSpec, batched: bool = True,
-                         tracer=None) -> ExperimentResult:
-    """Run one fleet experiment (N shards, closed- or open-loop).
-
-    The phases mirror :func:`run_experiment` — sequential load (routed
-    through the sharded store's batch path), drain, measured phase,
-    series close — with the measured phase driven either by the
-    closed-loop :class:`~repro.sim.clients.ClientPool` over the
-    sharded store (``spec.arrival is None``) or the open-loop
-    :class:`~repro.fleet.pool.FleetPool`.  The result additionally
-    carries the fleet summary dict (offered/goodput/SLO + per-shard
-    rows, DESIGN.md §10.3).  ``batched`` governs the load phase and
-    closed-loop clients; open-loop service is inherently per-op.
-    """
-    clock, store, fleet_ssd, fleet_fs, iostat, ssds, stores = \
-        build_fleet_stack(spec)
-    attach_tracer(tracer, clock=clock)
-    for ssd, st in zip(ssds, stores):
-        attach_tracer(tracer, ssd=ssd, store=st)
-    workload = spec.workload()
-    collector = MetricsCollector(
-        clock=clock, ssd=fleet_ssd, iostat=iostat, fs=fleet_fs, store=store,
-        dataset_bytes=workload.dataset_bytes,
-    )
-
-    load = load_sequential(store, workload, batch=batched)
-    if not load.out_of_space:
-        fleet_ssd.drain()
-    collector.start_measurement()
-    if tracer is not None:
-        tracer.enable()
-    peak_util = fleet_fs.utilization()
-    stats_base = [st.stats.snapshot() for st in stores]
-
-    target_bytes = int(spec.duration_capacity_writes * spec.capacity_bytes)
-    run_start = clock.now
-    outcome = load
-    if not load.out_of_space:
-        stop_when = lambda: collector.host_bytes_written() >= target_bytes  # noqa: E731
-        if spec.arrival is not None:
-            arrival = make_arrival(
-                spec.arrival, spec.arrival_rate,
-                rng_mod.substream(spec.seed, "arrival"),
-                **spec.arrival_options,
-            )
-            pool = FleetPool(
-                store,
-                workload,
-                arrival,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
-                queue_cap=spec.queue_cap,
-                ssd=fleet_ssd,
-                tracer=tracer if tracer is not None else NULL_TRACER,
-                kill_at=spec.kill_at,
-                kill_shard=spec.kill_shard,
-                retry_limit=spec.retry_limit,
-                retry_backoff=spec.retry_backoff_ms / 1e3,
-                op_timeout=(spec.op_timeout_ms / 1e3
-                            if spec.op_timeout_ms is not None else None),
-            )
-        else:
-            pool = ClientPool(
-                store,
-                workload,
-                spec.nclients,
-                seed=spec.seed,
-                stop_when=stop_when,
-                sample_interval=spec.sample_interval,
-                on_sample=collector.sample,
-                max_ops=spec.max_ops,
-                ssd=fleet_ssd,
-                batch=batched,
-                tracer=tracer if tracer is not None else NULL_TRACER,
-            )
-        outcome = pool.run()
-        _close_series(collector, spec, clock, run_start)
-
-    samples = collector.samples
-    steady = summarize(samples) if samples else None
-    peak_util = max(peak_util,
-                    fleet_fs.allocator.peak_used_pages / fleet_fs.allocator.npages)
-    dataset = max(workload.dataset_bytes, 1)
-    run_seconds = clock.now - run_start
-    return ExperimentResult(
-        spec=spec,
-        samples=samples,
-        steady=steady,
-        out_of_space=outcome.out_of_space or load.out_of_space,
-        load_seconds=load.load_seconds,
-        run_seconds=run_seconds,
-        ops_issued=outcome.ops_issued,
-        smart=fleet_ssd.smart.as_dict(),
-        peak_disk_utilization=peak_util,
-        peak_space_amp=fleet_fs.peak_used_bytes / dataset,
-        client_latencies=getattr(outcome, "latencies", None),
-        per_client_ops=getattr(outcome, "per_client_ops", None),
-        kv_ops={
-            "puts": store.stats.puts,
-            "gets": store.stats.gets,
-            "scans": store.stats.scans,
-            "deletes": store.stats.deletes,
-        },
-        attribution=tracer.attribution.as_dict() if tracer is not None else None,
-        fleet=_fleet_summary(spec, outcome, stores, stats_base, run_seconds),
-    )
 
 
 def _fleet_summary(spec, outcome, stores, stats_base, run_seconds):

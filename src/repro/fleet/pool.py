@@ -55,15 +55,13 @@ AVAILABILITY_TARGET = 0.999
 class FleetOutcome:
     """What happened during an open-loop fleet run.
 
-    Duck-compatible with :class:`repro.workload.runner.RunOutcome`
-    (``ops_issued`` counts *completed* operations).  Offered =
-    admitted + rejected; admitted − completed ops were still queued
-    when the run ended.
+    ``ops_issued`` counts *completed* operations.  Offered = admitted
+    + rejected; admitted − completed ops were still queued when the
+    run ended.
     """
 
     ops_issued: int = 0
     out_of_space: bool = False
-    load_seconds: float = 0.0
     run_seconds: float = 0.0
     offered: int = 0
     admitted: int = 0

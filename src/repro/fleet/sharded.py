@@ -9,8 +9,8 @@ consecutive same-shard runs and dispatch each run through the owning
 shard's native batch path, preserving op order (and therefore clock
 advancement, ``until`` semantics and ``ops_done`` accounting) exactly
 as the inherited scalar loop would.  With one shard every call
-delegates whole-batch to the only shard — which is what makes the
-1-shard fleet path bit-identical to a bare store (pinned by tests).
+delegates whole-batch to the only shard — which is what makes a
+1-shard sharded store bit-identical to its bare store (pinned by tests).
 
 :class:`FleetSSD` and :class:`FleetFilesystem` are the matching
 read-side facades: they aggregate SMART counters and space accounting

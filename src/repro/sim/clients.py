@@ -74,16 +74,12 @@ from repro.workload.spec import WorkloadSpec
 class PoolOutcome:
     """What happened during a (partial) multi-client run.
 
-    Duck-compatible with :class:`repro.workload.runner.RunOutcome`
-    (``ops_issued`` / ``out_of_space`` / ``load_seconds``) so the
-    experiment layer treats both drivers uniformly.  Slotted: the
-    shared op counter is read and written on every batch segment of
-    every client.
+    Slotted: the shared op counter is read and written on every batch
+    segment of every client.
     """
 
     ops_issued: int = 0
     out_of_space: bool = False
-    load_seconds: float = 0.0
     run_seconds: float = 0.0
     per_client_ops: list[int] = field(default_factory=list)
     latencies: ClientLatencies | None = None

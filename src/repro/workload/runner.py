@@ -73,7 +73,7 @@ def load_sequential(store: KVStore, spec: WorkloadSpec,
     which ``batch=False`` preserves as the equivalence oracle.
     """
     outcome = RunOutcome()
-    start = store_clock(store).now
+    start = store.clock.now
     try:
         if batch:
             vlen = spec.value_bytes
@@ -89,7 +89,7 @@ def load_sequential(store: KVStore, spec: WorkloadSpec,
     except NoSpaceError as exc:
         outcome.ops_issued += getattr(exc, "ops_done", 0)
         outcome.out_of_space = True
-    outcome.load_seconds = store_clock(store).now - start
+    outcome.load_seconds = store.clock.now - start
     return outcome
 
 
@@ -179,7 +179,7 @@ def run_workload(
     default batched driver is bit-identical to it (module docstring).
     """
     validate_sampling(sample_interval, on_sample)
-    clock = store_clock(store)
+    clock = store.clock
     key_rng = rng_mod.substream(seed, "workload-keys")
     op_rng = rng_mod.substream(seed, "workload-ops")
     chooser = make_chooser(spec.distribution, spec.nkeys, key_rng)
@@ -279,8 +279,3 @@ def _after_op_sample(clock, next_sample, sample_interval, on_sample):
             # resynchronize instead of firing empty windows.
             next_sample = clock.now + sample_interval
     return next_sample
-
-
-def store_clock(store: KVStore):
-    """The store's virtual clock (both engines expose ``.clock``)."""
-    return store.clock

@@ -41,6 +41,7 @@ class TestSpec:
         dict(op_reserved_fraction=-0.2),
         dict(op_reserved_fraction=1.0),
         dict(distribution="pareto"),
+        dict(driver="inline", nshards=2),
     ])
     def test_fails_fast_before_building_the_stack(self, bad):
         """Bad fractions/ranges must raise at construction, not after
@@ -151,6 +152,16 @@ class TestRunExperiment:
         assert result.lba_histogram is not None
         assert 0.0 <= result.lba_never_written <= 1.0
 
+    def test_lba_trace_on_one_shard_open_loop(self):
+        # The fleet-slo preset's 1-shard shape: one device, so the
+        # trace applies even though the store sits behind a router.
+        spec = ExperimentSpec(engine=Engine.BTREE, trace_lba=True,
+                              arrival="poisson", arrival_rate=4000.0, **FAST)
+        result = run_experiment(spec)
+        assert result.fleet is not None
+        assert result.lba_histogram is not None
+        assert 0.0 <= result.lba_never_written <= 1.0
+
     def test_out_of_space_reported_not_raised(self):
         spec = ExperimentSpec(engine=Engine.LSM, capacity_bytes=24 * MIB,
                               dataset_fraction=0.95, duration_capacity_writes=2.0,
@@ -190,3 +201,31 @@ class TestRunExperiment:
         assert reloaded["cell"] == spec.stable_hash()
         assert reloaded["steady"]["kv_tput"] > 0
         assert len(reloaded["samples"]) == len(record["samples"])
+
+
+class TestPipelineHookPoints:
+    """The pipeline calls its phase entry points through this module's
+    globals, once per stack or phase; the benchmark's per-layer ledger
+    wraps them there, so a shape that bypassed them would report an
+    empty phase."""
+
+    @pytest.mark.parametrize("shape, calls", [
+        (dict(), (1, 1, 1)),
+        (dict(nclients=4), (1, 1, 0)),
+        (dict(nshards=2, arrival="poisson", arrival_rate=4000.0), (2, 1, 0)),
+    ], ids=["inline", "pool4", "fleet2-poisson"])
+    def test_phase_entry_points_called(self, monkeypatch, shape, calls):
+        from repro.core import experiment
+
+        counts = dict.fromkeys(("build_stack", "load_sequential",
+                                "run_workload"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(experiment, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiment, name, counted)
+        spec = ExperimentSpec(**{**FAST, "max_ops": 500}, **shape)
+        result = run_experiment(spec)
+        assert result.ops_issued > 0
+        assert tuple(counts.values()) == calls

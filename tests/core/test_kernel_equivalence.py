@@ -1,13 +1,15 @@
-"""Full-experiment fingerprints of the kernel sites, pinned.
+"""Full-experiment fingerprints, pinned.
 
 Each spec exercises one or more of the former array/scalar kernel
 sites — the device-write tail, compaction merge, LSM scan merge and
 point-probe path, the channelized read fold and the B+Tree leaf walk
-(DESIGN.md §12).  Both implementations of every site were pinned
-bit-identical on these specs, and the sha256 of each serialized result
-(every sample, SMART counter, latency percentile and per-client op
-count; host wall times removed) was recorded then.  The one remaining
-implementation per site must reproduce each fingerprint exactly.
+(DESIGN.md §12) — or one driver shape of the experiment pipeline:
+inline, one- and multi-client pool, one- and two-shard open-loop
+fleets, the chaos shape (faults plus a shard kill) and the LBA trace.
+The sha256 of each serialized result (every sample, SMART counter,
+latency percentile, per-client op count, fleet summary and the
+virtual-clock load/run seconds) was recorded before the pipeline
+shapes were merged into one; every shape must reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ FAST = dict(
 
 def _fingerprint(spec: ExperimentSpec) -> str:
     record = run_experiment(spec).to_dict()
-    record.pop("load_seconds")  # host wall time: the only legitimate delta
-    record.pop("run_seconds")
     blob = json.dumps(record, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -39,9 +39,9 @@ def _fingerprint(spec: ExperimentSpec) -> str:
 class TestKernelEquivalence:
     @pytest.mark.parametrize("engine, expected", [
         (Engine.LSM,
-         "b1d7f58d771e7a9066669c529aec48a25d86e047d392c162e373a456e0d543aa"),
+         "90deb04475905a36a97df2c8d37c0b6ed321ad3776a5a4c0b2ace17e68c034fb"),
         (Engine.BTREE,
-         "2a14943053abb210140de73d157b7aba27c6c14f6ef5891431fb31bd4b4acaf1"),
+         "5cccc886bb1a9d47b2ce6f8945bb803e662776e3364a6aea59795cd46ffbe21c"),
     ], ids=["lsm", "btree"])
     def test_closed_loop_identical(self, engine, expected):
         spec = ExperimentSpec(engine=engine, **FAST)
@@ -50,13 +50,13 @@ class TestKernelEquivalence:
     def test_pooled_identical(self):
         spec = ExperimentSpec(engine=Engine.LSM, nclients=4, **FAST)
         assert _fingerprint(spec) == (
-            "0c5835076c3069bc5d54044b2a94871c0c4e736466a64c5bb573804ea54c4ad1")
+            "f15fdae314a369c0d88aaf9c594de282c2c8b0469d7d74848adcb14125837f63")
 
     @pytest.mark.parametrize("engine, expected", [
         (Engine.LSM,
-         "7fcff6a530d0930d9ce55c030cd053b7e24fe903db73b0dbede77c42a79cd0f6"),
+         "10b7c3638e6ce61faaf7e0b787aa4986ac02cbd3ad5075e20a3bc40fc9eea671"),
         (Engine.BTREE,
-         "43f09bbc92c89aff0fd3ff1cd4609882ff592cdf78dfb5df696626e9069b739a"),
+         "20d98215ded9c2205134c5b8c08490b8c8a9f0ff2870330cbd9c239e2650a85f"),
     ], ids=["lsm", "btree"])
     def test_read_only_identical(self, engine, expected):
         # Pure-get measured phase: the point-probe and channelized-read
@@ -66,9 +66,9 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("engine, expected", [
         (Engine.LSM,
-         "b33ac5f32df69024044c8c54135baf4e5ed98e865aaf97cd7e9317f7813f45b7"),
+         "4e7808ce9dee34de9134e18b6e1119542231f00718bd0d4f43c832e991ca7c4f"),
         (Engine.BTREE,
-         "e70e2d4edf22f4fa028b1e96cff461db88b8a15745745c7f8bbbbdf2952054ea"),
+         "e0eef795ae0878d7756a996c8a9621635e4ce7addcc9b0c8ce8c6eb62925cc8c"),
     ], ids=["lsm", "btree"])
     def test_scan_mix_identical(self, engine, expected):
         # Scan-heavy mix: the LSM heap merge and the B+Tree leaf walk.
@@ -81,12 +81,46 @@ class TestKernelEquivalence:
                               read_fraction=0.25, scan_fraction=0.25,
                               distribution="zipfian", **FAST)
         assert _fingerprint(spec) == (
-            "68e677314926c53ffdb2f9926312e3e132aa61a2fae1b127e300afc4c2a74964")
+            "43798a07f18f690380aad1ff5c91711fc2717c4e29ef2f85d46c774fd99a438d")
 
     def test_fleet_identical(self):
         spec = ExperimentSpec(engine=Engine.LSM, nshards=2, nclients=4, **FAST)
         assert _fingerprint(spec) == (
-            "e32ee8076b61758595c20b6baf9f48de8ec2a7310016c18a6697273173623a8f")
+            "d13da012f758350cff3f008d5bfb5b3b98cab67a8a36e0182b181d95e4794f82")
+
+    def test_one_client_pool_identical(self):
+        spec = ExperimentSpec(engine=Engine.LSM, driver="pool", **FAST)
+        assert _fingerprint(spec) == (
+            "95e2601c38be44a98dc01e69dba1647d2e93881eb67c0d4a665c0e4323e48f08")
+
+    def test_lba_trace_identical(self):
+        spec = ExperimentSpec(engine=Engine.LSM, trace_lba=True, **FAST)
+        assert _fingerprint(spec) == (
+            "1b6f29fb3d69cd3e9da95b56a6493390cb16f9917ad0fdd1786de09dc6f1dcbb")
+
+    def test_one_shard_open_loop_identical(self):
+        spec = ExperimentSpec(engine=Engine.BTREE, arrival="poisson",
+                              arrival_rate=4000.0, queue_cap=16, **FAST)
+        assert _fingerprint(spec) == (
+            "0b185b0770d58f363ef071f93665d29132695e32ce4438f54072c958c5fd5389")
+
+    @pytest.mark.parametrize("engine, expected", [
+        (Engine.LSM,
+         "3f000f7a183de00589f297f89e912299737bfdc32348d7167753a076412010cb"),
+        (Engine.BTREE,
+         "ae4b75945ffd97faa94a60cf751bd0695266a00a5a2cc4bf0945c5867b8ce9fb"),
+    ], ids=["lsm", "btree"])
+    def test_chaos_fleet_identical(self, engine, expected):
+        # The chaos preset's shape: two open-loop shards, a flaky
+        # device and a mid-run kill of shard 0.
+        spec = ExperimentSpec(engine=engine, nshards=2, arrival="poisson",
+                              arrival_rate=4000.0, queue_cap=16,
+                              op_timeout_ms=50.0, read_fraction=0.25,
+                              faults={"read": 0.05, "program": 0.02,
+                                      "latency": 0.05,
+                                      "read_penalty_ms": 2.0},
+                              kill_at=0.05, **FAST)
+        assert _fingerprint(spec) == expected
 
     def test_kernel_mode_not_in_stable_hash(self):
         # The kernel switch was never part of a spec's identity, so

@@ -2,9 +2,9 @@
 
 Three contracts pin the fleet subsystem (DESIGN.md §10.4):
 
-1. *Seed compatibility*: ``nshards=1`` without an arrival process is
-   dispatched to the untouched legacy path, and even when the fleet
-   path is forced it reproduces the legacy run op for op.
+1. *Seed compatibility*: ``nshards=1`` without an arrival process
+   runs the bare store, and a 1-shard ``ShardedStore`` in front of
+   that store reproduces it op for op.
 2. *Accounting*: open-loop offered = admitted + rejected, globally
    and per shard, and admission never exceeds the queue cap.
 3. *Determinism*: the same spec reproduces the same fleet summary,
@@ -13,15 +13,16 @@ Three contracts pin the fleet subsystem (DESIGN.md §10.4):
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.core.experiment import (
-    Engine,
-    ExperimentSpec,
-    run_experiment,
-    run_fleet_experiment,
-)
+from repro.core.experiment import Engine, ExperimentSpec, build_stack, run_experiment
+from repro.fleet.router import make_router
+from repro.fleet.sharded import ShardedStore
+from repro.sim.clients import ClientPool
 from repro.units import MIB
+from repro.workload.runner import load_sequential
 
 #: Small but real: flush/compaction/GC paths exercised in
 #: milliseconds.  The write budget is generous so max_ops decides run
@@ -44,24 +45,47 @@ class TestSeedCompatibility:
         assert result.fleet is None
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_one_shard_fleet_matches_legacy_run(self, engine):
-        """The forced 1-shard fleet path reproduces the legacy run.
+    def test_one_shard_sharded_store_matches_bare_store(self, engine):
+        """A 1-shard ``ShardedStore`` reproduces its bare store.
 
-        Shard 0 keeps the experiment seed and a 1-shard router is the
-        identity, so load order, op stream and timing must all
-        coincide — checked through clock, SMART and op counters.
+        A 1-shard router is the identity and the sharded store forwards
+        whole batches to its only shard, so load, op stream and timing
+        must all coincide under four pool clients and a mix of every op
+        kind — checked through clock, SMART and op counters, and
+        through the sequence of batches the engine receives.
         """
-        spec = ExperimentSpec(engine=engine, **FAST)
-        legacy = run_experiment(spec)
-        fleet = run_fleet_experiment(spec)
-        assert fleet.ops_issued == legacy.ops_issued
-        assert fleet.run_seconds == legacy.run_seconds
-        assert fleet.load_seconds == legacy.load_seconds
-        assert fleet.smart == legacy.smart
-        assert fleet.kv_ops == legacy.kv_ops
-        assert len(fleet.samples) == len(legacy.samples)
-        assert fleet.fleet is not None
-        assert fleet.fleet["per_shard"][0]["ops"] == legacy.ops_issued
+        spec = ExperimentSpec(engine=engine, nclients=4, read_fraction=0.25,
+                              scan_fraction=0.1, scan_length=20,
+                              delete_fraction=0.05, **FAST)
+
+        def drive(sharded: bool):
+            clock, ssd, _d, _p, _fs, store, _i, _t = build_stack(spec)
+            batches = []  # (method, batch size) as the engine saw them
+            for name in ("put_many", "get_many", "delete_many", "scan_many"):
+                def counted(keys, *args, _name=name,
+                            _method=getattr(store, name), **kwargs):
+                    batches.append((_name, len(keys)))
+                    return _method(keys, *args, **kwargs)
+                setattr(store, name, counted)
+            front = store
+            if sharded:
+                router = make_router("hash", 1, spec.nkeys)
+                front = ShardedStore([store], router, clock)
+            load = load_sequential(front, spec.workload())
+            ssd.drain()
+            outcome = ClientPool(front, spec.workload(), spec.nclients,
+                                 seed=spec.seed, max_ops=spec.max_ops,
+                                 ssd=ssd).run()
+            return (load.ops_issued, outcome.ops_issued,
+                    outcome.per_client_ops, clock.now,
+                    ssd.smart.as_dict(), asdict(store.stats.snapshot()),
+                    outcome.latencies.percentile(99), batches)
+
+        bare, sharded = drive(False), drive(True)
+        assert sharded == bare
+        assert sum(bare[2]) == bare[1] == FAST["max_ops"]
+        assert {name for name, _ in bare[-1]} == {
+            "put_many", "get_many", "delete_many", "scan_many"}
 
 
 def open_loop_spec(engine=Engine.LSM, **overrides) -> ExperimentSpec:
@@ -79,7 +103,7 @@ def open_loop_spec(engine=Engine.LSM, **overrides) -> ExperimentSpec:
 
 class TestOpenLoop:
     def test_offered_splits_into_admitted_plus_rejected(self):
-        fleet = run_fleet_experiment(open_loop_spec()).fleet
+        fleet = run_experiment(open_loop_spec()).fleet
         assert fleet["offered"] == fleet["admitted"] + fleet["rejected"]
         assert fleet["offered"] == FAST["max_ops"]  # max_ops bounds offered
         for key in ("offered", "admitted", "rejected"):
@@ -91,7 +115,7 @@ class TestOpenLoop:
         # 10x the saturation rate against a queue cap of 4: admission
         # control must shed load, and the shed shows up in the SLO
         # attainment denominator.
-        fleet = run_fleet_experiment(
+        fleet = run_experiment(
             open_loop_spec(arrival_rate=200_000.0, queue_cap=4)
         ).fleet
         assert fleet["rejected"] > 0
@@ -100,23 +124,23 @@ class TestOpenLoop:
             + 1e-12
 
     def test_rate_controls_offered_load(self):
-        slow = run_fleet_experiment(
+        slow = run_experiment(
             open_loop_spec(arrival_rate=1000.0, max_ops=800)).fleet
-        fast = run_fleet_experiment(
+        fast = run_experiment(
             open_loop_spec(arrival_rate=16_000.0, max_ops=800)).fleet
         assert slow["offered_rate"] == pytest.approx(1000.0, rel=0.2)
         assert fast["offered_rate"] > slow["offered_rate"] * 4
 
     def test_determinism(self):
-        a = run_fleet_experiment(open_loop_spec())
-        b = run_fleet_experiment(open_loop_spec())
+        a = run_experiment(open_loop_spec())
+        b = run_experiment(open_loop_spec())
         assert a.fleet == b.fleet
         assert a.smart == b.smart
         assert a.run_seconds == b.run_seconds
 
     @pytest.mark.parametrize("router", ("hash", "range"))
     def test_both_routers_spread_load(self, router):
-        fleet = run_fleet_experiment(open_loop_spec(router=router)).fleet
+        fleet = run_experiment(open_loop_spec(router=router)).fleet
         ops = [row["ops"] for row in fleet["per_shard"]]
         assert len(ops) == 2
         assert min(ops) > 0

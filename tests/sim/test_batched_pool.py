@@ -90,9 +90,9 @@ class TestPoolEquivalence:
     @pytest.mark.parametrize("nclients", (1, 4))
     def test_full_experiment_record_identical(self, engine, nclients):
         spec = ExperimentSpec(engine=engine, nclients=nclients,
-                              **FAST, **MIXED)
-        scalar = run_experiment(spec, use_client_pool=True, batched=False)
-        batched = run_experiment(spec, use_client_pool=True, batched=True)
+                              driver="pool", **FAST, **MIXED)
+        scalar = run_experiment(spec, batched=False)
+        batched = run_experiment(spec, batched=True)
         assert canonical(scalar) == canonical(batched)
         assert batched.samples == scalar.samples
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.experiment import Engine, ExperimentSpec, build_stack, run_experiment
@@ -60,7 +62,7 @@ class TestSeedCompatibility:
     def test_one_client_experiment_matches_legacy_path(self, engine):
         spec = ExperimentSpec(engine=engine, **FAST)
         legacy = run_experiment(spec)
-        pooled = run_experiment(spec, use_client_pool=True)
+        pooled = run_experiment(replace(spec, driver="pool"))
         assert pooled.ops_issued == legacy.ops_issued
         assert pooled.run_seconds == legacy.run_seconds
         assert pooled.samples == legacy.samples
